@@ -14,10 +14,11 @@
 //!
 //! The store is a sharded in-memory map (16 shards per stage, `parking_lot`
 //! mutexes) with per-stage hit/miss/insert/eviction counters and an optional
-//! on-disk JSON spill for the stages whose artifacts have a compact
-//! serialized form (typings, IPC profiles, isolated runtimes). Values are
-//! deterministic, so a racing double-compute under contention is harmless:
-//! both workers derive bit-identical artifacts and the first insert wins.
+//! on-disk spill of every stage in [`SPILL_STAGES`] (binary phase-pack by
+//! default, a legacy JSON form for typings, IPC profiles and isolated
+//! runtimes). Values are deterministic, so a racing double-compute under
+//! contention is harmless: both workers derive bit-identical artifacts and
+//! the first insert wins.
 //!
 //! A service-scale store cannot grow without bound: every artifact type
 //! reports its size through [`StoreFootprint`], and a store built with
@@ -30,12 +31,14 @@
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 use phase_amp::MachineSpec;
 use phase_analysis::{BlockTyping, PhaseType};
-use phase_ir::{BlockId, Location, ProcId, Program};
+use phase_ir::{
+    AccessPattern, BlockId, BranchBehavior, Instruction, Location, ProcId, Program, Terminator,
+};
 use phase_marking::{InstrumentedProgram, MarkingConfig, ProgramRegions};
 use phase_online::{OnlineConfig, OnlineStats};
 use phase_runtime::{TunerConfig, TunerStats};
@@ -53,10 +56,10 @@ use crate::pipeline::{
 /// Number of shards per stage cache.
 const SHARDS: usize = 16;
 
-/// Upper bound on the fingerprint memo maps: each entry pins a program
-/// allocation via `Arc`, so the memos are cleared (re-hashing is cheap and
-/// deterministic) rather than allowed to grow with every catalogue a
-/// long-running service ever touches.
+/// Upper bound on the fingerprint memo maps. An entry holds only a `Weak`
+/// (it costs bytes, not a program), but the memos are still cleared at the
+/// cap (re-hashing is cheap and deterministic) rather than allowed to grow
+/// with every catalogue a long-running service ever touches.
 const FP_MEMO_CAP: usize = 4096;
 
 /// The stages the store can persist to disk and serve over the network, in
@@ -342,6 +345,93 @@ impl Fingerprint for Policy {
                 config.fingerprint(h);
             }
             Policy::Partition => h.write_str("partition"),
+        }
+    }
+}
+
+/// Feeds a `u32` as four little-endian bytes (the IR's ids and counts).
+fn write_u32(h: &mut StableHasher, value: u32) {
+    h.write_bytes(&value.to_le_bytes());
+}
+
+impl Fingerprint for Instruction {
+    /// The class, then its memory reference. Only loads and stores carry
+    /// one, so the class already says whether one follows.
+    fn fingerprint(&self, h: &mut StableHasher) {
+        h.write_bytes(&[self.class().index() as u8]);
+        if let Some(mem) = self.mem_ref() {
+            match mem.pattern {
+                AccessPattern::Sequential => h.write_bytes(&[0]),
+                AccessPattern::Strided { stride_bytes } => {
+                    h.write_bytes(&[1]);
+                    write_u32(h, stride_bytes);
+                }
+                AccessPattern::Random => h.write_bytes(&[2]),
+                AccessPattern::PointerChase => h.write_bytes(&[3]),
+            }
+            h.write_u64(mem.region_bytes);
+        }
+    }
+}
+
+impl Fingerprint for Terminator {
+    fn fingerprint(&self, h: &mut StableHasher) {
+        match *self {
+            Terminator::Jump(target) => {
+                h.write_bytes(&[0]);
+                write_u32(h, target.0);
+            }
+            Terminator::Branch {
+                taken,
+                fallthrough,
+                behavior,
+            } => {
+                h.write_bytes(&[1]);
+                write_u32(h, taken.0);
+                write_u32(h, fallthrough.0);
+                match behavior {
+                    BranchBehavior::Counted { trip_count } => {
+                        h.write_bytes(&[0]);
+                        write_u32(h, trip_count);
+                    }
+                    BranchBehavior::Probabilistic { taken_probability } => {
+                        h.write_bytes(&[1]);
+                        h.write_f64(taken_probability);
+                    }
+                }
+            }
+            Terminator::Call { callee, return_to } => {
+                h.write_bytes(&[2]);
+                write_u32(h, callee.0);
+                write_u32(h, return_to.0);
+            }
+            Terminator::Return => h.write_bytes(&[3]),
+            Terminator::Exit => h.write_bytes(&[4]),
+        }
+    }
+}
+
+/// A walk over the whole IR: every field a pipeline stage or the simulator
+/// can observe, with counts in front of every sequence so the encoding is
+/// prefix-free. Block and procedure ids are positions, so they are implied
+/// by the order of the walk.
+impl Fingerprint for Program {
+    fn fingerprint(&self, h: &mut StableHasher) {
+        h.write_str("program");
+        h.write_str(self.name());
+        write_u32(h, self.entry().0);
+        h.write_usize(self.procedures().len());
+        for proc in self.procedures() {
+            h.write_str(proc.name());
+            write_u32(h, proc.entry().0);
+            h.write_usize(proc.block_count());
+            for block in proc.blocks() {
+                h.write_usize(block.instructions().len());
+                for instr in block.instructions() {
+                    instr.fingerprint(h);
+                }
+                block.terminator().fingerprint(h);
+            }
         }
     }
 }
@@ -912,6 +1002,28 @@ impl StoreStats {
     }
 }
 
+/// Looks `value` up in a pointer-keyed fingerprint memo, computing and
+/// recording its hash on a miss. The key is sound because the entry's
+/// `Weak` keeps the allocation (not the value) alive, so its address cannot
+/// be handed to another value while the entry exists.
+fn memoized<T>(
+    memo: &Mutex<HashMap<usize, (Weak<T>, ContentHash)>>,
+    value: &Arc<T>,
+    hash: impl FnOnce(&T) -> ContentHash,
+) -> ContentHash {
+    let key = Arc::as_ptr(value) as usize;
+    if let Some((_, found)) = memo.lock().get(&key) {
+        return *found;
+    }
+    let computed = hash(value);
+    let mut memo = memo.lock();
+    if memo.len() >= FP_MEMO_CAP {
+        memo.clear();
+    }
+    memo.insert(key, (Arc::downgrade(value), computed));
+    computed
+}
+
 /// The content-addressed artifact store. See the module docs for the design.
 #[derive(Debug, Default)]
 pub struct ArtifactStore {
@@ -926,17 +1038,14 @@ pub struct ArtifactStore {
     /// The optional byte budget. `None` (the default) grows without bound,
     /// the legacy sweep-harness behaviour; a service-scale store sets it.
     budget: Option<StoreBudget>,
-    /// Program fingerprints memoized by allocation; the held `Arc` keeps the
-    /// allocation alive so an address can never be reused for a different
-    /// program while the memo entry exists. Because that `Arc` pins the
-    /// whole program, the memo is *bounded*: once it reaches
-    /// [`FP_MEMO_CAP`] entries it is cleared (dropping the pins) before the
-    /// next insert — a long-running service over rotating catalogues
-    /// re-hashes occasionally instead of leaking every program it ever saw.
-    program_fps: Mutex<HashMap<usize, (Arc<Program>, ContentHash)>>,
+    /// Program fingerprints memoized by allocation (see [`memoized`]). The
+    /// held `Weak` reserves the address without keeping the program alive,
+    /// so an evicted catalogue's programs are freed as soon as their last
+    /// caller lets go. Cleared once it reaches [`FP_MEMO_CAP`] entries.
+    program_fps: Mutex<HashMap<usize, (Weak<Program>, ContentHash)>>,
     /// Same memo (and the same bound) for instrumented programs, used when
     /// hashing job slots.
-    instrumented_fps: Mutex<HashMap<usize, (Arc<InstrumentedProgram>, ContentHash)>>,
+    instrumented_fps: Mutex<HashMap<usize, (Weak<InstrumentedProgram>, ContentHash)>>,
 }
 
 impl ArtifactStore {
@@ -1071,34 +1180,26 @@ impl ArtifactStore {
 
     /// The content fingerprint of a program (memoized per allocation).
     ///
-    /// The fingerprint hashes the program's full textual listing — every
-    /// instruction, memory reference, and terminator — so two structurally
-    /// identical programs share artifacts even if generated separately.
+    /// The fingerprint walks the program's IR — names, entries, every
+    /// instruction class and memory reference, every terminator with its
+    /// targets and branch behaviour — so two structurally identical
+    /// programs share artifacts even if generated separately. The memo
+    /// holds no strong reference: the caller's reference count is left
+    /// unchanged.
     pub fn program_fingerprint(&self, program: &Arc<Program>) -> ContentHash {
-        let key = Arc::as_ptr(program) as usize;
-        if let Some((_, hash)) = self.program_fps.lock().get(&key) {
-            return *hash;
-        }
-        let mut hasher = StableHasher::new();
-        hasher.write_str("program");
-        hasher.write_str(program.name());
-        hasher.write_str(&program.to_listing());
-        let hash = hasher.finish();
-        let mut memo = self.program_fps.lock();
-        if memo.len() >= FP_MEMO_CAP {
-            memo.clear();
-        }
-        memo.insert(key, (Arc::clone(program), hash));
-        hash
+        memoized(&self.program_fps, program, Program::content_hash)
     }
 
     /// The content fingerprint of an instrumented program: the underlying
     /// program plus the marking config and the exact mark set.
     pub fn instrumented_fingerprint(&self, instrumented: &Arc<InstrumentedProgram>) -> ContentHash {
-        let key = Arc::as_ptr(instrumented) as usize;
-        if let Some((_, hash)) = self.instrumented_fps.lock().get(&key) {
-            return *hash;
-        }
+        memoized(&self.instrumented_fps, instrumented, |instrumented| {
+            self.instrumented_hash(instrumented)
+        })
+    }
+
+    /// The un-memoized hash behind [`ArtifactStore::instrumented_fingerprint`].
+    fn instrumented_hash(&self, instrumented: &InstrumentedProgram) -> ContentHash {
         let mut hasher = StableHasher::new();
         hasher.write_str("instrumented");
         self.program_fingerprint(instrumented.program())
@@ -1129,13 +1230,7 @@ impl ArtifactStore {
                 None => hasher.write_bool(false),
             }
         }
-        let hash = hasher.finish();
-        let mut memo = self.instrumented_fps.lock();
-        if memo.len() >= FP_MEMO_CAP {
-            memo.clear();
-        }
-        memo.insert(key, (Arc::clone(instrumented), hash));
-        hash
+        hasher.finish()
     }
 
     /// Stage 1 — catalogue generation.

@@ -45,8 +45,10 @@ use crate::pipeline::{IpcProfileArtifact, IpcProfileRow};
 pub const PACK_MAGIC: [u8; 4] = *b"PPK1";
 
 /// The pack format version; bumped on any layout change so a stale spill is
-/// rejected structurally, never deserialized wrong.
-pub const PACK_VERSION: u64 = 2;
+/// rejected structurally, never deserialized wrong. Also bumped when the
+/// store's keys change (version 3: structural program fingerprints), since
+/// records filed under the old keys could never hit again.
+pub const PACK_VERSION: u64 = 3;
 
 /// The toolchain tag stamped into every pack file: artifacts are only
 /// reusable across processes built from the same crate version, because the

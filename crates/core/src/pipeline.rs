@@ -6,7 +6,8 @@
 //! the target machine's asymmetry — only the dynamic tuner does.
 //!
 //! The pipeline is split into explicit stages, each a pure function of
-//! *(program, machine, config)* producing a serde-serializable artifact:
+//! *(program, machine, config)* producing a deterministic artifact (the
+//! store spills them with [`crate::pack`]):
 //!
 //! 1. catalogue generation (`phase-workload`, cached by `CatalogSpec`),
 //! 2. per-block IPC profiling — [`profile_stage`] → [`IpcProfileArtifact`],

@@ -225,6 +225,12 @@ impl BasicBlock {
         &self.instructions
     }
 
+    /// The block's own instruction vector, for builders that grow it in
+    /// place.
+    pub(crate) fn instructions_mut(&mut self) -> &mut Vec<Instruction> {
+        &mut self.instructions
+    }
+
     /// The control transfer ending the block.
     pub fn terminator(&self) -> &Terminator {
         &self.terminator

@@ -62,10 +62,7 @@ impl ProcedureBuilder {
     ///
     /// Panics if `block` was not produced by this builder.
     pub fn push(&mut self, block: BlockId, instr: Instruction) {
-        let b = self.block_mut(block);
-        let mut instrs = b.instructions().to_vec();
-        instrs.push(instr);
-        *b = BasicBlock::new(block, instrs, *b.terminator());
+        self.block_mut(block).instructions_mut().push(instr);
     }
 
     /// Appends several instructions to a block.
@@ -74,9 +71,7 @@ impl ProcedureBuilder {
     ///
     /// Panics if `block` was not produced by this builder.
     pub fn push_all(&mut self, block: BlockId, instrs: impl IntoIterator<Item = Instruction>) {
-        for instr in instrs {
-            self.push(block, instr);
-        }
+        self.block_mut(block).instructions_mut().extend(instrs);
     }
 
     /// Sets the terminator of a block.

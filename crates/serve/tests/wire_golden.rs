@@ -1,8 +1,9 @@
 //! Golden test for the NDJSON wire format: a captured request/response
 //! transcript pinned bit-for-bit, the malformed-request cases (truncated
-//! JSON, unknown fields, unknown kinds, hash mismatches, type errors)
-//! answered with structured errors instead of killing the loop, and the TCP
-//! front end producing the same bytes as the in-memory loop.
+//! JSON, unknown fields, unknown kinds, hash mismatches, type errors,
+//! nesting bombs) answered with structured errors instead of killing the
+//! loop, and the TCP front end producing the same bytes as the in-memory
+//! loop.
 //!
 //! Regenerate the pinned output after an intentional schema change with
 //! `cargo test -p phase-serve --test wire_golden -- --ignored regenerate`.
@@ -11,7 +12,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use phase_serve::{serve_lines, serve_tcp, ServiceConfig, TuningService};
+use phase_serve::{parse_request, serve_lines, serve_tcp, ServiceConfig, TuningService};
 
 const TRANSCRIPT_IN: &str = include_str!("golden/transcript.in");
 const TRANSCRIPT_OUT: &str = include_str!("golden/transcript.out");
@@ -111,6 +112,36 @@ fn invalid_utf8_gets_a_structured_error_and_the_loop_survives() {
     assert!(
         lines[1].contains("\"id\": \"after\"") && lines[1].contains("\"status\": \"ok\""),
         "the loop kept serving after the binary garbage: {}",
+        lines[1]
+    );
+}
+
+#[test]
+fn deeply_nested_json_gets_a_structured_error_and_the_loop_survives() {
+    let hostile = "[".repeat(100_000);
+    let error = parse_request(&hostile).expect_err("a bare array is not a request");
+    let rendered = error.to_json().render_compact();
+    assert!(
+        rendered.contains("bad-json") && rendered.contains("nesting deeper than"),
+        "structured error for a nesting bomb: {rendered}"
+    );
+
+    let service = fresh_service();
+    let input = format!("{hostile}\n{{\"id\": \"after\", \"kind\": \"stats\"}}\n");
+    let mut out = Vec::new();
+    let summary =
+        serve_lines(&service, BufReader::new(input.as_bytes()), &mut out).expect("loop survives");
+    assert_eq!((summary.responses, summary.errors), (2, 1));
+    let output = String::from_utf8(out).unwrap();
+    let lines: Vec<&str> = output.lines().collect();
+    assert!(
+        lines[0].contains("bad-json") && lines[0].contains("nesting deeper than"),
+        "structured error on the wire: {}",
+        lines[0]
+    );
+    assert!(
+        lines[1].contains("\"id\": \"after\"") && lines[1].contains("\"status\": \"ok\""),
+        "the loop kept serving after the nesting bomb: {}",
         lines[1]
     );
 }
