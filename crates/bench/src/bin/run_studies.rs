@@ -1,38 +1,78 @@
-//! The unified study runner: every table and figure of the evaluation in one
-//! invocation, sharing one artifact store — plus the cold-versus-warm
+//! The one study entry point: every table and figure of the evaluation in
+//! one invocation, sharing one artifact store — plus the cold-versus-warm
 //! benchmark of that store.
 //!
-//! All thirteen studies run in sequence against a single
-//! [`ArtifactStore`](phase_core::ArtifactStore), so cross-study reuse (the
-//! shared catalogues, the config-independent baseline twins and isolated
-//! runtimes, identical cells across sweeps) happens naturally; each study's
-//! `BENCH_<study>.json` is written as it completes. Afterwards the
-//! `table1`/`fig6`/`fig7` sweeps are run *again* on the warm store and
-//! `BENCH_study.json` records the cold-versus-warm wall-clock per study, the
-//! end-to-end wall-clock, and the final store counters — the regression
-//! artifact CI tracks for the caching layer.
+//! A plain run executes the thirteen paper and online studies of the
+//! [`STUDIES`](phase_bench::studies::STUDIES) table in sequence against a
+//! single [`ArtifactStore`], so cross-study reuse (the shared catalogues, the
+//! config-independent baseline twins and isolated runtimes, identical cells
+//! across sweeps) happens naturally; each study's `BENCH_<study>.json` is
+//! written as it completes. Afterwards the `table1`/`fig6`/`fig7` sweeps are
+//! run *again* on the warm store and `BENCH_study.json` records the
+//! cold-versus-warm wall-clock per study, the end-to-end wall-clock, and the
+//! final store counters — the regression artifact CI tracks for the caching
+//! layer.
 //!
-//! Set `PHASE_BENCH_SPILL=DIR` to persist the store across runs: if `DIR`
-//! already holds a spill it is reloaded *before* the cold pass (so a cached
-//! CI run skips the recomputation entirely), and the store is spilled back
-//! to `DIR` (binary phase-pack format, every stage of the pipeline) after
-//! the studies finish. With `PHASE_BENCH_ASSERT_WARM=1` the run additionally
-//! asserts that the preloaded spill answered every typing lookup — zero
-//! misses — which is how CI proves its artifact cache actually warmed the
-//! run.
+//! `--only=<name>[,<name>]` instead runs the named studies (any table entry,
+//! including `engine` and `tail`), each on a fresh store, and writes only
+//! their `BENCH_<name>.json`. A study's post-run check fails the run with
+//! exit status 1: `engine` gates sims/sec against the `BENCH_engine.json`
+//! named by `PHASE_BENCH_BASELINE` (20% tolerance), and `tail` requires a
+//! phase-aware policy to beat static partitioning on p99 in some cell.
+//!
+//! Set `PHASE_BENCH_SPILL=DIR` to persist the store of a plain run across
+//! runs: if `DIR` already holds a spill it is reloaded *before* the cold
+//! pass (so a cached CI run skips the recomputation entirely), and the store
+//! is spilled back to `DIR` (binary phase-pack format, every stage of the
+//! pipeline) after the studies finish. With `PHASE_BENCH_ASSERT_WARM=1` the
+//! run additionally asserts that the preloaded spill answered every typing
+//! lookup — zero misses — which is how CI proves its artifact cache actually
+//! warmed the run.
 
 use std::time::Instant;
 
-use phase_bench::studies;
+use phase_bench::studies::{self, Study, STUDIES};
+use phase_bench::BenchSettings;
 use phase_core::{run_study, ArtifactStore, JsonValue, StudyReport};
 
 fn main() {
-    let settings = phase_bench::init(
+    let (settings, only) = phase_bench::init_studies(
         "Unified study runner (BENCH_study.json)",
         "Runs every study against one shared artifact store, writes each BENCH_<study>.json,\n\
          then re-runs the table1/fig6/fig7 sweeps warm and records the cold-vs-warm\n\
-         wall-clock win in BENCH_study.json.",
+         wall-clock win in BENCH_study.json. --only=<name> runs single studies instead.",
     );
+    match only {
+        Some(selected) => {
+            for study in selected {
+                run(study, &settings, &ArtifactStore::new());
+            }
+        }
+        None => run_all(&settings),
+    }
+}
+
+/// Runs one study on `store`: prints its table, writes `BENCH_<name>.json`
+/// with the study's headline fields, then exits 1 if its check fails.
+fn run(study: &Study, settings: &BenchSettings, store: &ArtifactStore) -> StudyReport {
+    let spec = (study.build)(settings);
+    println!("--- {} ---", spec.title);
+    let report = run_study(&spec, store, settings.threads.max(1));
+    print!("{}", (study.render)(&report));
+    let headline = (study.headline)(&report);
+    let written = phase_bench::write_study_report_with(&report, settings, &headline);
+    phase_bench::announce_report(written, &format!("BENCH_{}.json", study.name));
+    if let Err(failure) = (study.check)(&report) {
+        eprintln!("{} check failed:\n{failure}", study.name);
+        std::process::exit(1);
+    }
+    println!();
+    report
+}
+
+/// The plain run: every full-run study on one shared store, the warm pass,
+/// and `BENCH_study.json`.
+fn run_all(settings: &BenchSettings) {
     let threads = settings.threads.max(1);
     let store = ArtifactStore::new();
 
@@ -62,38 +102,18 @@ fn main() {
     }
     let total_start = Instant::now();
 
-    // --- Cold pass: every study, one shared store. ---
-    let mut cold: Vec<StudyReport> = Vec::new();
-    for spec in studies::all(&settings) {
-        println!("--- {} ---", spec.title);
-        let report = run_study(&spec, &store, threads);
-        print!("{}", studies::render(&report));
-        // The online study's report carries the same drifting-family
-        // headline fields the standalone binary writes, so BENCH_online.json
-        // has one schema whichever producer made it.
-        let extra = if report.study == "online" {
-            let (static_speedup, best_online) = studies::online_drifting_headline(&report);
-            vec![
-                ("drifting_static_speedup", JsonValue::Float(static_speedup)),
-                (
-                    "drifting_best_online_speedup",
-                    JsonValue::Float(best_online),
-                ),
-            ]
-        } else {
-            Vec::new()
-        };
-        let written = phase_bench::write_study_report_with(&report, &settings, &extra);
-        phase_bench::announce_report(written, &format!("BENCH_{}.json", report.study));
-        println!();
-        cold.push(report);
-    }
+    // --- Cold pass: every full-run study, one shared store. ---
+    let cold: Vec<StudyReport> = STUDIES
+        .iter()
+        .filter(|study| study.in_full_run)
+        .map(|study| run(study, settings, &store))
+        .collect();
 
     // --- Warm pass: the headline sweeps again, answered from the store. ---
     let warm_specs = vec![
-        studies::table1(&settings),
-        studies::fig6(&settings),
-        studies::fig7(&settings),
+        studies::table1(settings),
+        studies::fig6(settings),
+        studies::fig7(settings),
     ];
     let mut sweeps = Vec::new();
     for spec in warm_specs {

@@ -1,55 +1,67 @@
 //! # phase-bench
 //!
 //! The benchmark harness that regenerates every table and figure of the
-//! paper's evaluation (Sondag & Rajan, CGO 2011, Section IV). Each artifact
-//! has a dedicated binary (run with
-//! `cargo run -p phase-bench --release --bin <name>`):
+//! paper's evaluation (Sondag & Rajan, CGO 2011, Section IV). Every
+//! artifact is a study in the [`studies::STUDIES`] table, run by the one
+//! study entry point (`cargo run -p phase-bench --release --bin run_studies
+//! -- --only=<name>`; the name is also the `BENCH_<name>.json` stem):
 //!
-//! | paper artifact | binary |
+//! | paper artifact | `--only=` |
 //! |---|---|
-//! | Figure 3 (space overhead) | `fig3_space_overhead` |
-//! | Figure 4 (time overhead, size-84 workload) | `fig4_time_overhead` |
-//! | Table 1 (switches per benchmark) | `table1_switches` |
-//! | Figure 5 (cycles per core switch) | `fig5_cycles_per_switch` |
-//! | Figure 6 (throughput vs. IPC threshold) | `fig6_ipc_threshold` |
-//! | Figure 7 (throughput vs. clustering error) | `fig7_clustering_error` |
+//! | Figure 3 (space overhead) | `fig3` |
+//! | Figure 4 (time overhead, size-84 workload) | `fig4` |
+//! | Table 1 (switches per benchmark) | `table1` |
+//! | Figure 5 (cycles per core switch) | `fig5` |
+//! | Figure 6 (throughput vs. IPC threshold) | `fig6` |
+//! | Figure 7 (throughput vs. clustering error) | `fig7` |
 //! | Section IV-C2 (lookahead sweep) | `sweep_lookahead` |
 //! | Section IV-C4 (minimum-size sweep) | `sweep_min_size` |
-//! | Table 2 (fairness vs. stock Linux) | `table2_fairness` |
-//! | Figure 8 (speedup vs. fairness trade-off) | `fig8_speedup_fairness` |
+//! | Table 2 (fairness vs. stock Linux) | `table2` |
+//! | Figure 8 (speedup vs. fairness trade-off) | `fig8` |
 //! | Section III / IV-B (mark statistics) | `table_mark_stats` |
-//! | Section VII (3-core AMP) | `exp_three_core` |
-//! | engine/driver baseline (`BENCH_engine.json`) | `bench_engine` |
-//! | online vs. static tuning (`BENCH_online.json`) | `online_vs_static` |
-//! | every study + cold/warm store benchmark (`BENCH_study.json`) | `run_studies` |
+//! | Section VII (3-core AMP) | `three_core` |
+//! | online vs. static tuning (`BENCH_online.json`) | `online` |
+//! | engine/driver baseline and perf gate (`BENCH_engine.json`) | `engine` |
+//! | datacenter tail latency (`BENCH_tail.json`) | `tail` |
+//!
+//! A study is a declarative spec (see [`studies`]) over the shared
+//! spec-driven runner of `phase-core` (`run_study`): the spec expands into an
+//! `ExperimentPlan`, the cells fan across the parallel `Driver` through the
+//! content-addressed `ArtifactStore`, and the unified [`StudyReport`] is
+//! rendered to the legacy table text and written as `BENCH_<study>.json`.
+//! A plain `run_studies` executes the thirteen paper and online studies
+//! against one shared store and records the cold-versus-warm sweep
+//! wall-clock in `BENCH_study.json`; `--only` runs the named studies, each
+//! on a fresh store.
+//!
+//! The harnesses that are not studies are binaries of their own:
+//!
+//! | measurement | binary |
+//! |---|---|
 //! | tuning-service cold/warm + eviction (`BENCH_serve.json`) | `bench_serve` |
 //! | open-loop serving latency + coalescing storm (`BENCH_load.json`) | `bench_load` |
+//! | tiered artifact store (`BENCH_store.json`) | `bench_store` |
+//! | tracing overhead (`BENCH_trace.json`) | `bench_trace` |
 //!
-//! Every study binary is a thin declarative spec (see [`studies`]) over the
-//! shared spec-driven runner of `phase-core` (`run_study`): the spec expands
-//! into an `ExperimentPlan`, the cells fan across the parallel `Driver`
-//! through the content-addressed `ArtifactStore`, and the unified
-//! [`StudyReport`] is rendered to the legacy table text and written as
-//! `BENCH_<study>.json`. `run_studies` executes all thirteen studies against
-//! one shared store and records the cold-versus-warm sweep wall-clock in
-//! `BENCH_study.json`. The Criterion benches (`cargo bench -p phase-bench`)
-//! measure the static analyses and both simulator engines on reduced inputs.
+//! Every binary reads its settings once, through [`init`], from its flags
+//! and these environment variables (a flag wins over its variable, and both
+//! are validated by the same rule; an invalid value exits 2):
 //!
-//! Every binary honours these environment variables (mirrored by CLI flags)
-//! so full and quick runs use the same code path:
-//!
-//! * `PHASE_BENCH_SLOTS` — workload size (default varies per study);
-//! * `PHASE_BENCH_THREADS` — driver worker threads (default: all hardware
-//!   threads);
-//! * `PHASE_BENCH_QUICK` — when set, shrinks the catalogue and horizons so a
-//!   full regeneration finishes in seconds (used by CI-style smoke runs);
-//! * `PHASE_BENCH_PERF` — when set, pins `bench_engine`'s scale, slots,
+//! * `--quick` / `PHASE_BENCH_QUICK` — shrinks the catalogue and horizons so
+//!   a full regeneration finishes in seconds (used by CI-style smoke runs);
+//! * `--perf` / `PHASE_BENCH_PERF` — pins the engine study's scale, slots,
 //!   seeds and sample count (the sims/sec perf-gate profile; overrides
 //!   quick/slots);
-//! * `PHASE_BENCH_OUT_DIR` — where `BENCH_*.json` reports are written
-//!   (default: the current directory);
-//! * `PHASE_BENCH_INTERVAL` — restricts the online sampling-interval sweep
-//!   to one period.
+//! * `--slots=N` / `PHASE_BENCH_SLOTS` — workload size (default varies per
+//!   study);
+//! * `--threads=N` / `PHASE_BENCH_THREADS` — driver worker threads (default:
+//!   all hardware threads);
+//! * `--interval=N` / `PHASE_BENCH_INTERVAL` — restricts the online
+//!   sampling-interval sweep to one period;
+//! * `--out=PATH` / `PHASE_BENCH_OUT_DIR` — where `BENCH_*.json` reports are
+//!   written (default: the current directory);
+//! * `--trace-out=PATH` / `PHASE_BENCH_TRACE_OUT` — dump a captured trace as
+//!   NDJSON.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -63,114 +75,7 @@ use phase_sched::SimConfig;
 
 pub mod studies;
 
-/// How an environment variable parsed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EnvParse<T> {
-    /// The variable is not set.
-    Unset,
-    /// The variable parsed.
-    Parsed(T),
-    /// The variable is set but does not parse as the expected type; the raw
-    /// value is carried for the error message.
-    Malformed(String),
-}
-
-/// Classifies an environment variable without losing the malformed case.
-pub fn env_parse<T: std::str::FromStr>(name: &str) -> EnvParse<T> {
-    match std::env::var(name) {
-        Err(_) => EnvParse::Unset,
-        Ok(raw) => match raw.parse() {
-            Ok(value) => EnvParse::Parsed(value),
-            Err(_) => EnvParse::Malformed(raw),
-        },
-    }
-}
-
-/// Reads an environment variable as a number, falling back to a default.
-///
-/// A set-but-unparsable value is *not* silently swallowed: a loud warning
-/// naming the variable and the rejected value goes to stderr before the
-/// default is used, so `PHASE_BENCH_SLOTS=1o` can no longer masquerade as a
-/// deliberate default-sized run.
-pub fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    match env_parse(name) {
-        EnvParse::Unset => default,
-        EnvParse::Parsed(value) => value,
-        EnvParse::Malformed(raw) => {
-            eprintln!(
-                "WARNING: environment variable {name}={raw:?} does not parse as {}; \
-                 falling back to the default",
-                std::any::type_name::<T>()
-            );
-            default
-        }
-    }
-}
-
-/// Whether quick mode is enabled (`PHASE_BENCH_QUICK` set to anything but
-/// `0`).
-pub fn quick_mode() -> bool {
-    std::env::var("PHASE_BENCH_QUICK")
-        .map(|v| v != "0")
-        .unwrap_or(false)
-}
-
-/// Whether the pinned performance profile is enabled (`PHASE_BENCH_PERF` set
-/// to anything but `0`, or the `--perf` flag). Perf runs pin the scale, slot
-/// count, seeds and sample count so `BENCH_engine.json` sims/sec numbers are
-/// comparable across runs and against the checked-in baseline; the profile
-/// overrides `--quick` and `--slots`.
-pub fn perf_mode() -> bool {
-    std::env::var("PHASE_BENCH_PERF")
-        .map(|v| v != "0")
-        .unwrap_or(false)
-}
-
-/// The workload size used by the throughput/fairness experiments, honouring
-/// `PHASE_BENCH_SLOTS`.
-pub fn workload_slots() -> usize {
-    env_or("PHASE_BENCH_SLOTS", 18)
-}
-
-/// Driver worker threads, honouring `PHASE_BENCH_THREADS` (and therefore the
-/// `--threads=N` flag, which sets it). Defaults to all hardware threads.
-pub fn threads() -> usize {
-    env_or("PHASE_BENCH_THREADS", Driver::default().threads()).max(1)
-}
-
-/// The experiment driver every binary fans its plan out with:
-/// [`threads`]-many workers.
-pub fn driver() -> Driver {
-    Driver::new(threads())
-}
-
-/// The sampling-interval override for online-tuning binaries, honouring
-/// `PHASE_BENCH_INTERVAL` (and therefore the `--interval=N` flag, which sets
-/// it): `Some(nanoseconds)` restricts an interval sweep to that single
-/// period, `None` (the default) lets the binary sweep its built-in list.
-pub fn sample_interval_override_ns() -> Option<f64> {
-    std::env::var("PHASE_BENCH_INTERVAL")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|ns: &f64| ns.is_finite() && *ns > 0.0)
-}
-
-/// The output directory for `BENCH_*.json` reports, honouring
-/// `PHASE_BENCH_OUT_DIR` (and therefore the `--out=PATH` flag, which sets
-/// it). `None` means the current directory, the legacy behaviour.
-pub fn out_dir() -> Option<PathBuf> {
-    std::env::var("PHASE_BENCH_OUT_DIR").ok().map(PathBuf::from)
-}
-
-/// Where a bench binary should dump its captured trace as NDJSON, honouring
-/// `PHASE_BENCH_TRACE_OUT` (and therefore the `--trace-out=PATH` flag, which
-/// sets it). `None` (the default) leaves tracing off.
-pub fn trace_out() -> Option<PathBuf> {
-    std::env::var("PHASE_BENCH_TRACE_OUT")
-        .ok()
-        .filter(|path| !path.is_empty())
-        .map(PathBuf::from)
-}
+use studies::Study;
 
 /// Writes the given trace records to `path` as deterministic NDJSON (one
 /// record per line, sorted by logical coordinate by the trace crate).
@@ -181,9 +86,9 @@ pub fn write_trace_ndjson(
     write_report_file(path, &phase_core::trace_export::render_ndjson(records))
 }
 
-/// The parsed harness settings every study binary runs under. Binaries fill
-/// this from the environment (after `init` folded the flags in); tests build
-/// it directly so they never race on process-global environment variables.
+/// The parsed harness settings every bench binary runs under. Binaries get
+/// them from [`init`] (flags plus environment); tests build them directly so
+/// they never touch process-global state.
 #[derive(Debug, Clone, Default)]
 pub struct BenchSettings {
     /// Reduced catalogue and horizon (`--quick` / `PHASE_BENCH_QUICK`).
@@ -209,28 +114,6 @@ pub struct BenchSettings {
 }
 
 impl BenchSettings {
-    /// Settings as configured by the environment (and therefore the CLI
-    /// flags, which `init` translates into environment variables).
-    pub fn from_env() -> Self {
-        Self {
-            quick: quick_mode(),
-            perf: perf_mode(),
-            slots: match env_parse("PHASE_BENCH_SLOTS") {
-                EnvParse::Parsed(slots) => Some(slots),
-                EnvParse::Unset => None,
-                EnvParse::Malformed(_) => {
-                    // `env_or` warns; keep one warning path.
-                    let _: usize = env_or("PHASE_BENCH_SLOTS", 0);
-                    None
-                }
-            },
-            threads: threads(),
-            interval_override_ns: sample_interval_override_ns(),
-            out_dir: out_dir(),
-            trace_out: trace_out(),
-        }
-    }
-
     /// Fixed settings for tests: quick mode, an explicit slot count, two
     /// driver workers, no output directory.
     pub fn for_tests(slots: usize) -> Self {
@@ -274,17 +157,8 @@ impl BenchSettings {
 }
 
 /// Writes a study report as `BENCH_<study>.json` (under `--out` if given),
-/// wrapping the unified schema with the harness settings it ran under.
-/// Returns the path written.
-pub fn write_study_report(
-    report: &StudyReport,
-    settings: &BenchSettings,
-) -> std::io::Result<PathBuf> {
-    write_study_report_with(report, settings, &[])
-}
-
-/// Like [`write_study_report`], with study-specific headline fields spliced
-/// into the JSON after the settings.
+/// wrapping the unified schema with the harness settings it ran under and
+/// any study-specific headline fields. Returns the path written.
 pub fn write_study_report_with(
     report: &StudyReport,
     settings: &BenchSettings,
@@ -365,32 +239,9 @@ pub fn perf_regressions(current: &JsonValue, baseline: &JsonValue, tolerance: f6
         .collect()
 }
 
-/// The whole body of a standard study binary: parse the command line, build
-/// the spec, run it through a fresh artifact store, print the rendered
-/// tables, and write the `BENCH_<study>.json` report.
-pub fn run_study_main(
-    artifact: &str,
-    description: &str,
-    build: impl FnOnce(&BenchSettings) -> phase_core::StudySpec,
-) {
-    let settings = init(artifact, description);
-    let spec = build(&settings);
-    let store = phase_core::ArtifactStore::new();
-    let report = phase_core::run_study(&spec, &store, settings.threads.max(1));
-    print!("{}", studies::render(&report));
-    let written = write_study_report(&report, &settings);
-    announce_report(written, &format!("BENCH_{}.json", report.study));
-}
-
 /// The experiment configuration shared by the dynamic experiments: the
 /// paper's machine, the given marking technique, and a continuously fed
 /// workload measured over a fixed horizon.
-pub fn experiment_config(marking: MarkingConfig) -> ExperimentConfig {
-    experiment_config_with(&BenchSettings::from_env(), marking)
-}
-
-/// Like [`experiment_config`], but from explicit settings instead of the
-/// process environment (what the study specs and their tests use).
 pub fn experiment_config_with(
     settings: &BenchSettings,
     marking: MarkingConfig,
@@ -416,194 +267,433 @@ pub fn overhead_variants() -> Vec<MarkingConfig> {
     MarkingConfig::table2_variants()
 }
 
-/// Parses the standard regeneration-binary command line, then prints the
-/// standard header and returns the resulting [`BenchSettings`]. Every binary
-/// accepts:
+/// A flag that takes a value, the environment variable it mirrors, and the
+/// one rule both sources are validated by.
+struct ValuedFlag {
+    flag: &'static str,
+    env: &'static str,
+    expected: &'static str,
+    /// Stores a valid value, or returns `None` for an invalid one.
+    set: fn(&mut BenchSettings, &str) -> Option<()>,
+}
+
+impl ValuedFlag {
+    /// Validates `raw` (read from `source`, the flag or the variable) into
+    /// `settings`.
+    fn apply(&self, settings: &mut BenchSettings, source: &str, raw: &str) -> Result<(), String> {
+        (self.set)(settings, raw).ok_or_else(|| {
+            format!(
+                "invalid {source} value: {raw:?} (expected {})",
+                self.expected
+            )
+        })
+    }
+}
+
+fn non_empty_path(raw: &str) -> Option<PathBuf> {
+    (!raw.is_empty()).then(|| PathBuf::from(raw))
+}
+
+/// Every flag that takes a value.
+const VALUED_FLAGS: [ValuedFlag; 5] = [
+    ValuedFlag {
+        flag: "--slots",
+        env: "PHASE_BENCH_SLOTS",
+        expected: "a positive integer",
+        set: |settings, raw| {
+            settings.slots = Some(raw.parse().ok().filter(|&slots: &usize| slots > 0)?);
+            Some(())
+        },
+    },
+    ValuedFlag {
+        flag: "--threads",
+        env: "PHASE_BENCH_THREADS",
+        expected: "a worker count",
+        // Zero clamps to one worker, as `Driver::new` does.
+        set: |settings, raw| {
+            settings.threads = raw.parse::<usize>().ok()?.max(1);
+            Some(())
+        },
+    },
+    ValuedFlag {
+        flag: "--interval",
+        env: "PHASE_BENCH_INTERVAL",
+        expected: "nanoseconds as a positive number",
+        set: |settings, raw| {
+            let ns = raw
+                .parse()
+                .ok()
+                .filter(|ns: &f64| ns.is_finite() && *ns > 0.0)?;
+            settings.interval_override_ns = Some(ns);
+            Some(())
+        },
+    },
+    ValuedFlag {
+        flag: "--out",
+        env: "PHASE_BENCH_OUT_DIR",
+        expected: "a directory path",
+        set: |settings, raw| {
+            settings.out_dir = Some(non_empty_path(raw)?);
+            Some(())
+        },
+    },
+    ValuedFlag {
+        flag: "--trace-out",
+        env: "PHASE_BENCH_TRACE_OUT",
+        expected: "a file path",
+        set: |settings, raw| {
+            settings.trace_out = Some(non_empty_path(raw)?);
+            Some(())
+        },
+    },
+];
+
+/// What a bench command line asks for.
+#[derive(Debug)]
+enum Cli {
+    /// `--help` / `-h`: print the usage and exit.
+    Help,
+    /// Run under these settings.
+    Run {
+        /// The parsed settings.
+        settings: BenchSettings,
+        /// The studies `--only` selected, in the order given; `None` when
+        /// the selector is absent.
+        only: Option<Vec<&'static Study>>,
+    },
+}
+
+/// Parses a bench command line (`args`, without the program name) and the
+/// `PHASE_BENCH_*` environment (`env`, as name/value pairs) into one
+/// [`Cli`]. Every setting has a flag and an environment variable, validated
+/// by the same rule; the flag wins when both are given. `--help` wins over
+/// everything else. `--only` is accepted only when `select_studies` is set
+/// (the `run_studies` entry point).
 ///
-/// * `--help` / `-h` — print the artifact description and flags, then exit;
-/// * `--quick` / `-q` — same as setting `PHASE_BENCH_QUICK=1`: shrink the
-///   catalogue and simulation horizon so the run finishes in seconds;
-/// * `--perf` — same as setting `PHASE_BENCH_PERF=1`: the pinned performance
-///   profile (fixed scale, slots, seeds and samples) used by the sims/sec
-///   perf gate; overrides `--quick` and `--slots` where they conflict;
-/// * `--slots=N` — same as `PHASE_BENCH_SLOTS=N`: the workload size used by
-///   the throughput/fairness experiments;
-/// * `--threads=N` — same as `PHASE_BENCH_THREADS=N`: how many worker
-///   threads the parallel experiment driver fans cells across (default: all
-///   hardware threads);
-/// * `--interval=N` — same as `PHASE_BENCH_INTERVAL=N`: the online tuner's
-///   hardware-counter sampling period in nanoseconds. Binaries that sweep
-///   the sampling interval (`online_vs_static`) restrict the sweep to this
-///   single value; binaries without an online policy ignore it;
-/// * `--out=PATH` — same as `PHASE_BENCH_OUT_DIR=PATH`: the directory
-///   `BENCH_*.json` reports are written to (default: the current directory).
-///
-/// Flags override the corresponding environment variables, and the variables
-/// are how the parsed values reach [`experiment_config`] / [`driver`], so
-/// full and quick runs share one code path.
-pub fn init(artifact: &str, description: &str) -> BenchSettings {
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                println!("{artifact}");
-                println!("{description}");
-                println!();
-                println!(
-                    "USAGE: [--quick] [--perf] [--slots=N] [--threads=N] [--interval=N] \
-                     [--out=PATH] [--trace-out=PATH]"
-                );
-                println!("  --quick, -q   reduced catalogue/horizon (env: PHASE_BENCH_QUICK=1)");
-                println!(
-                    "  --perf        pinned scale/seed perf profile for sims/sec gating \
-                     (env: PHASE_BENCH_PERF=1)"
-                );
-                println!(
-                    "  --slots=N     workload size (env: PHASE_BENCH_SLOTS; \
-                     default varies per artifact)"
-                );
-                println!(
-                    "  --threads=N   driver worker threads (env: PHASE_BENCH_THREADS; \
-                     default: all hardware threads)"
-                );
-                println!(
-                    "  --interval=N  online sampling period in ns (env: PHASE_BENCH_INTERVAL; \
-                     default: sweep the binary's built-in list)"
-                );
-                println!(
-                    "  --out=PATH    directory for BENCH_*.json reports \
-                     (env: PHASE_BENCH_OUT_DIR; default: current directory)"
-                );
-                println!(
-                    "  --trace-out=PATH  enable structured tracing and dump the run's \
-                     timeline as NDJSON (env: PHASE_BENCH_TRACE_OUT; default: off)"
-                );
-                std::process::exit(0);
-            }
-            "--quick" | "-q" => std::env::set_var("PHASE_BENCH_QUICK", "1"),
-            "--perf" => std::env::set_var("PHASE_BENCH_PERF", "1"),
-            other => {
-                if let Some(n) = other.strip_prefix("--slots=") {
-                    match n.parse::<usize>() {
-                        Ok(slots) if slots > 0 => {
-                            std::env::set_var("PHASE_BENCH_SLOTS", slots.to_string());
-                            continue;
-                        }
-                        _ => {
-                            eprintln!("invalid --slots value: {n} (expected a positive integer)");
-                            std::process::exit(2);
-                        }
-                    }
+/// An `Err` carries the message to print before exiting with status 2.
+fn parse_cli<A, K, V>(args: &[A], env: &[(K, V)], select_studies: bool) -> Result<Cli, String>
+where
+    A: AsRef<str>,
+    K: AsRef<str>,
+    V: AsRef<str>,
+{
+    if args
+        .iter()
+        .any(|arg| matches!(arg.as_ref(), "--help" | "-h"))
+    {
+        return Ok(Cli::Help);
+    }
+    let var = |name: &str| {
+        env.iter()
+            .find(|(key, _)| key.as_ref() == name)
+            .map(|(_, value)| value.as_ref())
+    };
+    let switched_on = |name: &str| var(name).is_some_and(|value| value != "0");
+    let mut settings = BenchSettings {
+        quick: switched_on("PHASE_BENCH_QUICK"),
+        perf: switched_on("PHASE_BENCH_PERF"),
+        threads: Driver::default().threads(),
+        ..BenchSettings::default()
+    };
+    for valued in &VALUED_FLAGS {
+        if let Some(raw) = var(valued.env) {
+            valued.apply(&mut settings, valued.env, raw)?;
+        }
+    }
+
+    let mut only = None;
+    for arg in args {
+        let arg = arg.as_ref();
+        match arg {
+            "--quick" | "-q" => settings.quick = true,
+            "--perf" => settings.perf = true,
+            _ => {
+                let unrecognized = || format!("unrecognized argument: {arg} (try --help)");
+                let (flag, raw) = arg.split_once('=').ok_or_else(unrecognized)?;
+                if select_studies && flag == "--only" {
+                    only = Some(select_studies_by_name(raw)?);
+                } else {
+                    let valued = VALUED_FLAGS
+                        .iter()
+                        .find(|valued| valued.flag == flag)
+                        .ok_or_else(unrecognized)?;
+                    valued.apply(&mut settings, flag, raw)?;
                 }
-                if let Some(n) = other.strip_prefix("--threads=") {
-                    match n.parse::<usize>() {
-                        Ok(threads) if threads > 0 => {
-                            std::env::set_var("PHASE_BENCH_THREADS", threads.to_string());
-                            continue;
-                        }
-                        _ => {
-                            eprintln!("invalid --threads value: {n} (expected a positive integer)");
-                            std::process::exit(2);
-                        }
-                    }
-                }
-                if let Some(n) = other.strip_prefix("--interval=") {
-                    match n.parse::<f64>() {
-                        Ok(ns) if ns.is_finite() && ns > 0.0 => {
-                            std::env::set_var("PHASE_BENCH_INTERVAL", n);
-                            continue;
-                        }
-                        _ => {
-                            eprintln!(
-                                "invalid --interval value: {n} (expected nanoseconds as a \
-                                 positive number)"
-                            );
-                            std::process::exit(2);
-                        }
-                    }
-                }
-                if let Some(path) = other.strip_prefix("--out=") {
-                    if path.is_empty() {
-                        eprintln!("invalid --out value: expected a directory path");
-                        std::process::exit(2);
-                    }
-                    std::env::set_var("PHASE_BENCH_OUT_DIR", path);
-                    continue;
-                }
-                if let Some(path) = other.strip_prefix("--trace-out=") {
-                    if path.is_empty() {
-                        eprintln!("invalid --trace-out value: expected a file path");
-                        std::process::exit(2);
-                    }
-                    std::env::set_var("PHASE_BENCH_TRACE_OUT", path);
-                    continue;
-                }
-                eprintln!("unrecognized argument: {other} (try --help)");
-                std::process::exit(2);
             }
         }
     }
-    print_header(artifact, description);
-    BenchSettings::from_env()
+    Ok(Cli::Run { settings, only })
 }
 
-/// Prints the standard header used by every regeneration binary.
-pub fn print_header(artifact: &str, description: &str) {
-    println!("== {artifact} ==");
+/// Resolves `--only`'s comma-separated study names against the table.
+fn select_studies_by_name(names: &str) -> Result<Vec<&'static Study>, String> {
+    names
+        .split(',')
+        .map(|name| {
+            studies::find(name).ok_or_else(|| {
+                format!(
+                    "unknown study {name:?} in --only (valid names: {})",
+                    studies::names().join(", ")
+                )
+            })
+        })
+        .collect()
+}
+
+/// Prints the `--help` text.
+fn print_usage(artifact: &str, description: &str, select_studies: bool) {
+    println!("{artifact}");
     println!("{description}");
-    if quick_mode() {
-        println!("(quick mode: reduced catalogue and horizon)");
-    }
-    println!("(driver: {} worker threads)", threads());
     println!();
+    let only = if select_studies {
+        "[--only=NAME[,NAME]] "
+    } else {
+        ""
+    };
+    println!(
+        "USAGE: {only}[--quick] [--perf] [--slots=N] [--threads=N] [--interval=N] \
+         [--out=PATH] [--trace-out=PATH]"
+    );
+    if select_studies {
+        println!(
+            "  --only=NAMES  run only these studies, each on a fresh store \
+             (default: the paper studies plus the warm pass); names: {}",
+            studies::names().join(", ")
+        );
+    }
+    println!("  --quick, -q   reduced catalogue/horizon (env: PHASE_BENCH_QUICK=1)");
+    println!(
+        "  --perf        pinned scale/seed perf profile for sims/sec gating \
+         (env: PHASE_BENCH_PERF=1)"
+    );
+    println!(
+        "  --slots=N     workload size (env: PHASE_BENCH_SLOTS; \
+         default varies per artifact)"
+    );
+    println!(
+        "  --threads=N   driver worker threads (env: PHASE_BENCH_THREADS; \
+         default: all hardware threads)"
+    );
+    println!(
+        "  --interval=N  online sampling period in ns (env: PHASE_BENCH_INTERVAL; \
+         default: sweep the built-in list)"
+    );
+    println!(
+        "  --out=PATH    directory for BENCH_*.json reports \
+         (env: PHASE_BENCH_OUT_DIR; default: current directory)"
+    );
+    println!(
+        "  --trace-out=PATH  enable structured tracing and dump the run's \
+         timeline as NDJSON (env: PHASE_BENCH_TRACE_OUT; default: off)"
+    );
+}
+
+/// Parses the process's command line and `PHASE_BENCH_*` environment, then
+/// prints the standard header and returns the settings. `--help`
+/// prints the usage and exits 0; an invalid flag or variable exits 2.
+pub fn init(artifact: &str, description: &str) -> BenchSettings {
+    launch(artifact, description, false).0
+}
+
+/// Like [`init`], for the `run_studies` entry point: also accepts `--only`
+/// and returns the studies it selected.
+pub fn init_studies(
+    artifact: &str,
+    description: &str,
+) -> (BenchSettings, Option<Vec<&'static Study>>) {
+    launch(artifact, description, true)
+}
+
+fn launch(
+    artifact: &str,
+    description: &str,
+    select_studies: bool,
+) -> (BenchSettings, Option<Vec<&'static Study>>) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let env: Vec<(String, String)> = std::env::vars_os()
+        .filter_map(|(name, value)| Some((name.into_string().ok()?, value.into_string().ok()?)))
+        .collect();
+    match parse_cli(&args, &env, select_studies) {
+        Ok(Cli::Help) => {
+            print_usage(artifact, description, select_studies);
+            std::process::exit(0);
+        }
+        Ok(Cli::Run { settings, only }) => {
+            println!("== {artifact} ==");
+            println!("{description}");
+            if settings.quick {
+                println!("(quick mode: reduced catalogue and horizon)");
+            }
+            println!("(driver: {} worker threads)", settings.threads);
+            println!();
+            (settings, only)
+        }
+        Err(message) => {
+            eprintln!("{message}");
+            std::process::exit(2);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn env_or_falls_back_to_default() {
-        std::env::remove_var("PHASE_BENCH_TEST_VALUE");
-        assert_eq!(env_or("PHASE_BENCH_TEST_VALUE", 7usize), 7);
-        std::env::set_var("PHASE_BENCH_TEST_VALUE", "12");
-        assert_eq!(env_or("PHASE_BENCH_TEST_VALUE", 7usize), 12);
-        std::env::remove_var("PHASE_BENCH_TEST_VALUE");
+    const NO_ENV: &[(&str, &str)] = &[];
+
+    fn parse(args: &[&str], env: &[(&str, &str)]) -> Result<BenchSettings, String> {
+        match parse_cli(args, env, false)? {
+            Cli::Run { settings, only } => {
+                assert!(only.is_none());
+                Ok(settings)
+            }
+            Cli::Help => panic!("unexpected --help"),
+        }
+    }
+
+    /// The same bad value through the flag and through its variable fails
+    /// with the same message, up to the name of the source.
+    fn rejected_alike(flag: &str, env: &str, raw: &str) -> String {
+        let from_flag = parse(&[&format!("{flag}={raw}")], NO_ENV).unwrap_err();
+        let from_env = parse(&[], &[(env, raw)]).unwrap_err();
+        assert_eq!(from_flag.replacen(flag, env, 1), from_env);
+        from_env
     }
 
     #[test]
-    fn malformed_env_values_are_detected_not_swallowed() {
-        std::env::set_var("PHASE_BENCH_TEST_MALFORMED", "1o");
+    fn unset_settings_keep_their_defaults_and_set_ones_apply() {
+        let defaults = parse(&[], NO_ENV).unwrap();
+        assert_eq!(defaults.slots, None);
+        assert_eq!(defaults.slots_or(18), 18);
+        assert!(!defaults.quick && !defaults.perf);
+        assert!(defaults.threads >= 1);
+        assert_eq!(defaults.interval_override_ns, None);
+        assert_eq!(defaults.out_dir, None);
+        assert_eq!(defaults.trace_out, None);
+
+        let env = [
+            ("PHASE_BENCH_SLOTS", "12"),
+            ("PHASE_BENCH_QUICK", "1"),
+            ("PHASE_BENCH_PERF", "0"),
+            ("PHASE_BENCH_OUT_DIR", "reports"),
+            ("PHASE_BENCH_TRACE_OUT", "run.ndjson"),
+        ];
+        let set = parse(&[], &env).unwrap();
+        assert_eq!(set.slots_or(18), 12);
+        assert!(set.quick);
+        assert!(!set.perf, "PHASE_BENCH_PERF=0 leaves the profile off");
         assert_eq!(
-            env_parse::<usize>("PHASE_BENCH_TEST_MALFORMED"),
-            EnvParse::Malformed("1o".to_string()),
-            "the malformed case is distinguishable from unset"
+            set.out_path("BENCH_x.json"),
+            PathBuf::from("reports/BENCH_x.json")
         );
-        // `env_or` warns on stderr and then falls back.
-        assert_eq!(env_or("PHASE_BENCH_TEST_MALFORMED", 7usize), 7);
-        std::env::remove_var("PHASE_BENCH_TEST_MALFORMED");
-        assert_eq!(
-            env_parse::<usize>("PHASE_BENCH_TEST_MALFORMED"),
-            EnvParse::Unset
+        assert_eq!(set.trace_out, Some(PathBuf::from("run.ndjson")));
+    }
+
+    #[test]
+    fn flags_match_and_override_the_environment() {
+        let args = [
+            "--quick",
+            "--perf",
+            "--slots=6",
+            "--threads=3",
+            "--interval=250000",
+            "--out=reports",
+            "--trace-out=run.ndjson",
+        ];
+        let env = [
+            ("PHASE_BENCH_QUICK", "1"),
+            ("PHASE_BENCH_PERF", "1"),
+            ("PHASE_BENCH_SLOTS", "6"),
+            ("PHASE_BENCH_THREADS", "3"),
+            ("PHASE_BENCH_INTERVAL", "250000"),
+            ("PHASE_BENCH_OUT_DIR", "reports"),
+            ("PHASE_BENCH_TRACE_OUT", "run.ndjson"),
+        ];
+        let from_flags = parse(&args, NO_ENV).unwrap();
+        let from_env = parse(&[], &env).unwrap();
+        assert_eq!(format!("{from_flags:?}"), format!("{from_env:?}"));
+
+        let both = parse(&["--slots=4", "-q"], &[("PHASE_BENCH_SLOTS", "12")]).unwrap();
+        assert_eq!(both.slots, Some(4), "the flag wins over the variable");
+        assert!(both.quick);
+    }
+
+    #[test]
+    fn malformed_env_values_are_rejected_not_swallowed() {
+        let error = parse(&[], &[("PHASE_BENCH_SLOTS", "1o")]).unwrap_err();
+        assert!(
+            error.contains("PHASE_BENCH_SLOTS") && error.contains("1o"),
+            "the error names the variable and the rejected value: {error}"
         );
+        rejected_alike("--slots", "PHASE_BENCH_SLOTS", "1o");
+    }
+
+    #[test]
+    fn zero_slots_are_rejected_from_either_source() {
+        let error = rejected_alike("--slots", "PHASE_BENCH_SLOTS", "0");
+        assert!(error.contains("positive integer"), "{error}");
+    }
+
+    #[test]
+    fn malformed_intervals_are_rejected_from_either_source() {
+        for raw in ["abc", "-5", "0", "inf", "NaN", ""] {
+            rejected_alike("--interval", "PHASE_BENCH_INTERVAL", raw);
+        }
+        let from_env = parse(&[], &[("PHASE_BENCH_INTERVAL", "250000")]).unwrap();
+        assert_eq!(from_env.interval_override_ns, Some(250_000.0));
+        let from_flag = parse(&["--interval=250000"], NO_ENV).unwrap();
+        assert_eq!(from_flag.interval_override_ns, Some(250_000.0));
+    }
+
+    #[test]
+    fn thread_count_honours_both_sources() {
+        let three = parse(&[], &[("PHASE_BENCH_THREADS", "3")]).unwrap();
+        assert_eq!(three.threads, 3);
+        assert_eq!(Driver::new(three.threads).threads(), 3);
+        let zero = parse(&[], &[("PHASE_BENCH_THREADS", "0")]).unwrap();
+        assert_eq!(zero.threads, 1, "zero clamps to one worker");
+        assert_eq!(parse(&["--threads=0"], NO_ENV).unwrap().threads, 1);
+        rejected_alike("--threads", "PHASE_BENCH_THREADS", "many");
+    }
+
+    #[test]
+    fn empty_paths_and_unknown_arguments_are_rejected() {
+        rejected_alike("--out", "PHASE_BENCH_OUT_DIR", "");
+        rejected_alike("--trace-out", "PHASE_BENCH_TRACE_OUT", "");
+        for arg in ["--bogus", "--slots", "--quick=1", "--only=fig3"] {
+            let error = parse(&[arg], NO_ENV).unwrap_err();
+            assert!(error.starts_with("unrecognized argument"), "{arg}: {error}");
+        }
+        let help = parse_cli(&["--bogus", "-h"], &[("PHASE_BENCH_SLOTS", "0")], false);
+        assert!(matches!(help, Ok(Cli::Help)), "--help wins over errors");
+    }
+
+    #[test]
+    fn only_selects_studies_by_spec_name() {
+        let Ok(Cli::Run { only, .. }) = parse_cli(&["--only=tail,fig3"], NO_ENV, true) else {
+            panic!("a valid selection parses");
+        };
+        let names: Vec<&str> = only.unwrap().iter().map(|study| study.name).collect();
+        assert_eq!(names, ["tail", "fig3"]);
+        let Ok(Cli::Run { only, .. }) = parse_cli(&["--quick"], NO_ENV, true) else {
+            panic!("no selector parses");
+        };
+        assert!(only.is_none());
+
+        let error = parse_cli(&["--only=fig3,nope"], NO_ENV, true).unwrap_err();
+        assert!(error.contains("\"nope\""), "{error}");
+        for name in studies::names() {
+            assert!(error.contains(name), "the error lists {name}: {error}");
+        }
     }
 
     #[test]
     fn experiment_config_uses_requested_marking() {
-        let config = experiment_config(MarkingConfig::interval(45));
+        let settings = parse(&[], NO_ENV).unwrap();
+        let config = experiment_config_with(&settings, MarkingConfig::interval(45));
         assert_eq!(config.pipeline.marking, MarkingConfig::interval(45));
         assert!(config.sim.horizon_ns.is_some());
         assert!(config.threads >= 1);
-    }
-
-    #[test]
-    fn thread_count_honours_the_environment() {
-        std::env::set_var("PHASE_BENCH_THREADS", "3");
-        assert_eq!(threads(), 3);
-        assert_eq!(driver().threads(), 3);
-        std::env::set_var("PHASE_BENCH_THREADS", "0");
-        assert_eq!(threads(), 1, "zero clamps to one worker");
-        std::env::remove_var("PHASE_BENCH_THREADS");
-        assert!(threads() >= 1);
     }
 
     #[test]
@@ -635,16 +725,5 @@ mod tests {
                 .unwrap();
         assert!(perf_regressions(&extra, &doc(10.0, 5.0), 0.20).is_empty());
         assert!(perf_regressions(&doc(10.0, 5.0), &extra, 0.20).is_empty());
-    }
-
-    #[test]
-    fn interval_override_honours_the_environment() {
-        std::env::remove_var("PHASE_BENCH_INTERVAL");
-        assert_eq!(sample_interval_override_ns(), None);
-        std::env::set_var("PHASE_BENCH_INTERVAL", "250000");
-        assert_eq!(sample_interval_override_ns(), Some(250_000.0));
-        std::env::set_var("PHASE_BENCH_INTERVAL", "-5");
-        assert_eq!(sample_interval_override_ns(), None, "negative is rejected");
-        std::env::remove_var("PHASE_BENCH_INTERVAL");
     }
 }

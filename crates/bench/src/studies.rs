@@ -1,4 +1,4 @@
-//! The study specs and renderers behind every regeneration binary.
+//! The study specs and renderers behind the `run_studies` entry point.
 //!
 //! Each of the paper's tables and figures is described here twice over:
 //!
@@ -9,15 +9,17 @@
 //!   [`StudyReport`] back into the exact text the legacy hand-rolled binary
 //!   printed.
 //!
-//! The binaries are thin `spec → run_study → render → write_study_report`
-//! pipelines, and the golden tests in `tests/golden.rs` run the same spec
-//! and renderer against outputs captured from the legacy binaries, proving
-//! the spec-driven path reproduces their numbers bit-for-bit.
+//! The [`STUDIES`] table ties them together: per study its name (what
+//! `run_studies --only=<name>` selects and the `BENCH_<name>.json` stem),
+//! spec builder, renderer, headline fields and post-run check. The golden
+//! tests in `tests/golden.rs` run the same specs and renderers against
+//! outputs captured from the legacy binaries, proving the spec-driven path
+//! reproduces their numbers bit-for-bit.
 
 use phase_amp::{CoreId, CostModel, MachineSpec};
 use phase_core::{
-    format_duration_ns, ComparisonPoint, FamilySpec, MetricValue, PerfWorkload, Policy, StudyMode,
-    StudyReport, StudyRow, StudySpec, TextTable,
+    format_duration_ns, json, ComparisonPoint, FamilySpec, JsonValue, MetricValue, PerfWorkload,
+    Policy, StudyMode, StudyReport, StudyRow, StudySpec, TextTable,
 };
 use phase_marking::{MarkingConfig, MARK_SIZE_BYTES};
 use phase_metrics::SummaryStats;
@@ -26,7 +28,7 @@ use phase_runtime::TunerConfig;
 use phase_sched::SimConfig;
 use phase_workload::{CatalogSpec, WorkloadSpec};
 
-use crate::{experiment_config_with, overhead_variants, BenchSettings};
+use crate::{experiment_config_with, overhead_variants, perf_regressions, BenchSettings};
 
 /// Catalogue scale of the static and isolation studies.
 fn catalog_scale(quick: bool) -> f64 {
@@ -43,45 +45,108 @@ fn body(table: &TextTable, footer: &str) -> String {
     format!("{}\n{footer}\n", table.render())
 }
 
-/// Every study this crate defines, in the order `run_studies` executes them.
-pub fn all(settings: &BenchSettings) -> Vec<StudySpec> {
-    vec![
-        fig3(settings),
-        fig4(settings),
-        table1(settings),
-        fig5(settings),
-        fig6(settings),
-        fig7(settings),
-        sweep_lookahead(settings),
-        sweep_min_size(settings),
-        table2(settings),
-        fig8(settings),
-        table_mark_stats(settings),
-        exp_three_core(settings),
-        online(settings),
-    ]
+/// One entry of the study table: everything the `run_studies` entry point
+/// needs to run a study by name.
+#[derive(Debug)]
+pub struct Study {
+    /// The spec name: what `--only` selects and the `BENCH_<name>.json`
+    /// stem.
+    pub name: &'static str,
+    /// Builds the spec from the harness settings.
+    pub build: fn(&BenchSettings) -> StudySpec,
+    /// Renders the report as the legacy table text.
+    pub render: fn(&StudyReport) -> String,
+    /// Study-specific headline fields spliced into `BENCH_<name>.json`.
+    pub headline: fn(&StudyReport) -> Headline,
+    /// A post-run check; an `Err` fails the run with that message.
+    pub check: fn(&StudyReport) -> Result<(), String>,
+    /// Whether a plain `run_studies` (no `--only`) runs it on the shared
+    /// store.
+    pub in_full_run: bool,
 }
 
-/// Renders a report through the renderer matching its study name.
-pub fn render(report: &StudyReport) -> String {
-    match report.study.as_str() {
-        "fig3" => render_fig3(report),
-        "fig4" => render_fig4(report),
-        "table1" => render_table1(report),
-        "fig5" => render_fig5(report),
-        "fig6" => render_fig6(report),
-        "fig7" => render_fig7(report),
-        "sweep_lookahead" => render_sweep_lookahead(report),
-        "sweep_min_size" => render_sweep_min_size(report),
-        "table2" => render_table2(report),
-        "fig8" => render_fig8(report),
-        "table_mark_stats" => render_table_mark_stats(report),
-        "three_core" => render_exp_three_core(report),
-        "online" => render_online(report),
-        "engine" => render_engine(report),
-        "tail" => render_tail(report),
-        other => panic!("no renderer for study '{other}'"),
+/// Headline fields of a report: `(name, value)` pairs for its JSON document.
+pub type Headline = Vec<(&'static str, JsonValue)>;
+
+fn no_headline(_: &StudyReport) -> Headline {
+    Vec::new()
+}
+
+fn no_check(_: &StudyReport) -> Result<(), String> {
+    Ok(())
+}
+
+/// A paper study: plain render, no headline, no check, in the full run.
+const fn paper(
+    name: &'static str,
+    build: fn(&BenchSettings) -> StudySpec,
+    render: fn(&StudyReport) -> String,
+) -> Study {
+    Study {
+        name,
+        build,
+        render,
+        headline: no_headline,
+        check: no_check,
+        in_full_run: true,
     }
+}
+
+/// Every study this crate defines, in the order a plain `run_studies`
+/// executes them.
+pub static STUDIES: &[Study] = &[
+    paper("fig3", fig3, render_fig3),
+    paper("fig4", fig4, render_fig4),
+    paper("table1", table1, render_table1),
+    paper("fig5", fig5, render_fig5),
+    paper("fig6", fig6, render_fig6),
+    paper("fig7", fig7, render_fig7),
+    paper("sweep_lookahead", sweep_lookahead, render_sweep_lookahead),
+    paper("sweep_min_size", sweep_min_size, render_sweep_min_size),
+    paper("table2", table2, render_table2),
+    paper("fig8", fig8, render_fig8),
+    paper(
+        "table_mark_stats",
+        table_mark_stats,
+        render_table_mark_stats,
+    ),
+    paper("three_core", exp_three_core, render_exp_three_core),
+    Study {
+        headline: online_headline,
+        ..paper("online", online, render_online)
+    },
+    Study {
+        check: engine_gate,
+        in_full_run: false,
+        ..paper("engine", engine, render_engine)
+    },
+    Study {
+        headline: tail_headline,
+        check: tail_check,
+        in_full_run: false,
+        ..paper("tail", tail, render_tail)
+    },
+];
+
+/// The table entry named `name`.
+pub fn find(name: &str) -> Option<&'static Study> {
+    STUDIES.iter().find(|study| study.name == name)
+}
+
+/// Every study name, in table order.
+pub fn names() -> Vec<&'static str> {
+    STUDIES.iter().map(|study| study.name).collect()
+}
+
+/// Renders a report through its table entry's renderer.
+///
+/// # Panics
+///
+/// If the report's study name is not in the table.
+pub fn render(report: &StudyReport) -> String {
+    let study = find(&report.study)
+        .unwrap_or_else(|| panic!("study '{}' is not in the table", report.study));
+    (study.render)(report)
 }
 
 // --- Engine perf gate: BENCH_engine.json. ---
@@ -168,6 +233,36 @@ pub fn render_engine(report: &StudyReport) -> String {
         "sims/sec: full simulations per wall-clock second (best of N samples); \
          engine rows are one simulation each, table1 rows one isolation plan.",
     )
+}
+
+/// Relative sims/sec slack before the engine gate fails; generous because
+/// CI machines are noisy, tight enough to catch a real hot-path regression.
+const BASELINE_TOLERANCE: f64 = 0.20;
+
+/// The [`engine`] study's perf gate: when `PHASE_BENCH_BASELINE` names a
+/// committed `BENCH_engine.json`, fails if any shared row's `sims_per_sec`
+/// lands more than 20% below the baseline (see [`perf_regressions`]).
+fn engine_gate(report: &StudyReport) -> Result<(), String> {
+    let Ok(path) = std::env::var("PHASE_BENCH_BASELINE") else {
+        return Ok(());
+    };
+    let contents = std::fs::read_to_string(&path)
+        .map_err(|error| format!("perf gate: cannot read baseline {path}: {error}"))?;
+    let baseline = json::parse(&contents)
+        .map_err(|error| format!("perf gate: baseline {path} is not valid JSON: {error:?}"))?;
+    let regressions = perf_regressions(&report.to_json(), &baseline, BASELINE_TOLERANCE);
+    if !regressions.is_empty() {
+        return Err(regressions
+            .iter()
+            .map(|regression| format!("perf regression: {regression}"))
+            .collect::<Vec<_>>()
+            .join("\n"));
+    }
+    println!(
+        "perf gate: OK vs {path} (tolerance {:.0}%)",
+        BASELINE_TOLERANCE * 100.0
+    );
+    Ok(())
 }
 
 // --- Figure 3: space overhead. ---
@@ -880,6 +975,19 @@ pub fn online_drifting_headline(report: &StudyReport) -> (f64, f64) {
     (static_speedup, best_online)
 }
 
+/// The [`online`] study's headline fields: the drifting family's static and
+/// best online speedups.
+fn online_headline(report: &StudyReport) -> Headline {
+    let (static_speedup, best_online) = online_drifting_headline(report);
+    vec![
+        ("drifting_static_speedup", JsonValue::Float(static_speedup)),
+        (
+            "drifting_best_online_speedup",
+            JsonValue::Float(best_online),
+        ),
+    ]
+}
+
 /// Renders [`online`] as the legacy table with the drifting headline.
 pub fn render_online(report: &StudyReport) -> String {
     let mut table = TextTable::new(vec![
@@ -998,6 +1106,28 @@ pub fn tail_phase_aware_wins(report: &StudyReport) -> usize {
         .count()
 }
 
+/// The [`tail`] study's headline field: [`tail_phase_aware_wins`].
+fn tail_headline(report: &StudyReport) -> Headline {
+    vec![(
+        "phase_aware_p99_wins",
+        JsonValue::UInt(tail_phase_aware_wins(report) as u64),
+    )]
+}
+
+/// The [`tail`] study's check: at least one sweep cell must show a
+/// phase-aware policy beating static partitioning on p99.
+fn tail_check(report: &StudyReport) -> Result<(), String> {
+    if tail_phase_aware_wins(report) > 0 {
+        Ok(())
+    } else {
+        Err(
+            "no sweep cell had a phase-aware policy beat static partitioning on p99 — \
+             the study's headline regressed"
+                .to_string(),
+        )
+    }
+}
+
 /// Renders [`tail`] as a per-cell quantile table with the headline count.
 pub fn render_tail(report: &StudyReport) -> String {
     let mut table = TextTable::new(vec![
@@ -1033,4 +1163,80 @@ pub fn render_tail(report: &StudyReport) -> String {
          latency charged from scheduled release, SLO budget 2ms.\n"
     ));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use phase_core::{run_study, ArtifactStore};
+
+    #[test]
+    fn study_names_are_unique() {
+        let mut unique = names();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), STUDIES.len(), "{:?}", names());
+    }
+
+    #[test]
+    fn every_entry_builds_the_spec_it_is_named_after() {
+        let settings = BenchSettings::for_tests(6);
+        for study in STUDIES {
+            assert_eq!((study.build)(&settings).name, study.name);
+        }
+        let full_run = STUDIES.iter().filter(|study| study.in_full_run).count();
+        assert_eq!(
+            full_run, 13,
+            "a plain run covers the paper studies and online"
+        );
+    }
+
+    #[test]
+    fn every_entry_renders_and_reports_its_headline() {
+        // One slot keeps the fifteen runs cheap; the goldens pin the output
+        // at six.
+        let settings = BenchSettings::for_tests(1);
+        for study in STUDIES {
+            let report = run_study(&(study.build)(&settings), &ArtifactStore::new(), 2);
+            assert!(!report.rows.is_empty(), "{}", study.name);
+            let rendered = render(&report);
+            assert_eq!(rendered, (study.render)(&report));
+            assert!(
+                rendered.lines().count() > report.rows.len(),
+                "{}: a header plus one line per row",
+                study.name
+            );
+            let has_headline = matches!(study.name, "online" | "tail");
+            assert_eq!(
+                !(study.headline)(&report).is_empty(),
+                has_headline,
+                "{}",
+                study.name
+            );
+        }
+    }
+
+    #[test]
+    fn the_tail_check_fails_without_a_phase_aware_win() {
+        let report = run_study(
+            &tail(&BenchSettings::for_tests(6)),
+            &ArtifactStore::new(),
+            2,
+        );
+        assert_eq!(tail_check(&report), Ok(()));
+        let partition_only = StudyReport {
+            rows: report
+                .rows
+                .iter()
+                .filter(|row| row.text("policy_kind") == "partition")
+                .cloned()
+                .collect(),
+            ..report
+        };
+        assert!(tail_check(&partition_only).is_err());
+        assert_eq!(
+            tail_headline(&partition_only),
+            [("phase_aware_p99_wins", JsonValue::UInt(0))]
+        );
+    }
 }
