@@ -1,51 +1,34 @@
 //! Tiered-artifact-store benchmark and CI gate (`BENCH_store.json`).
 //!
-//! Four measurements over one realistically warm store (a full `table1`
+//! Three measurements over one realistically warm store (a full `table1`
 //! study run):
 //!
-//! * **spill format** — bytes on disk and spill/load wall-clock for the
-//!   binary phase-pack spill versus the legacy JSON spill, over the same
-//!   three stages the JSON format can represent (typings, IPC profiles,
-//!   isolated runtimes). Gated: binary must be ≥3x smaller and ≥5x faster
-//!   to load.
-//! * **warm restart** — a fresh store reloaded from the full binary spill
-//!   reruns the study: rows must be bit-identical to the cold run and the
-//!   typings stage must record zero misses (the whole pipeline persisted).
+//! * **spill** — bytes on disk of the phase-pack stage files, spill
+//!   wall-clock, and best-of-N load wall-clock (MB/s) into a fresh store.
+//! * **warm restart** — a fresh store reloaded from the spill reruns the
+//!   study: rows must be bit-identical to the cold run and the typings stage
+//!   must record zero misses (the whole pipeline persisted).
 //! * **remote cache** — a second store warm-started purely through
 //!   `artifact-get` over live TCP against a phase-serve instance wrapping
-//!   the warm store; per-get hit latency reported as p50/p99.
+//!   the warm store; per-get hit latency reported as p50/p99, each only when
+//!   at least ten gets lie beyond it (`null` otherwise).
 //!
-//! Gate failures exit nonzero so CI fails visibly.
+//! A failed check panics, so the run exits nonzero and CI fails visibly.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 use phase_bench::studies;
-use phase_core::{run_study, ArtifactStore, JsonValue, SpillFormat};
+use phase_core::{run_study, ArtifactStore, JsonValue};
+use phase_metrics::percentile_sorted;
 use phase_serve::{remote_warm_start, serve_tcp_with, TuningService, WireConfig};
 
-/// Binary spill must be at least this many times smaller than JSON.
-const SIZE_GATE: f64 = 3.0;
-/// Binary spill must load at least this many times faster than JSON.
-const LOAD_GATE: f64 = 5.0;
-
-/// The stages both formats can represent — the fair comparison set.
-const JSON_STAGES: [&str; 3] = ["typings", "ipc_profiles", "isolated_runtimes"];
+/// Samples that must lie beyond a quantile before it is reported.
+const MIN_BEYOND_QUANTILE: f64 = 10.0;
 
 fn temp_dir(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("phase-bench-store-{name}-{}", std::process::id()))
-}
-
-fn dir_bytes(dir: &Path, files: &[String]) -> u64 {
-    files
-        .iter()
-        .map(|file| {
-            std::fs::metadata(dir.join(file))
-                .map(|m| m.len())
-                .unwrap_or(0)
-        })
-        .sum()
 }
 
 /// Best-of-N wall seconds for loading `dir` into a fresh store; also returns
@@ -64,21 +47,19 @@ fn measure_load(dir: &Path, repeats: usize) -> (f64, usize) {
     (best, loaded)
 }
 
-fn percentile(sorted: &[u64], pct: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted.len() - 1) as f64 * pct / 100.0).round() as usize;
-    sorted[rank]
+/// The `q` quantile of a sorted sample, or `None` when fewer than
+/// [`MIN_BEYOND_QUANTILE`] samples lie beyond it (count < 10/(1-q)).
+fn quantile(sorted: &[f64], q: f64) -> Option<f64> {
+    (sorted.len() as f64 * (1.0 - q) >= MIN_BEYOND_QUANTILE).then(|| percentile_sorted(sorted, q))
 }
 
 fn main() {
     let settings = phase_bench::init(
         "Artifact-store benchmark (BENCH_store.json)",
-        "Measures the binary phase-pack spill against the legacy JSON spill\n\
-         (bytes on disk, spill/load MB/s), the cold-vs-warm-restart study\n\
-         wall clock, and remote artifact-cache hit latency over live TCP.\n\
-         Gates: binary >=3x smaller and >=5x faster to load than JSON.",
+        "Measures the phase-pack spill (bytes on disk, spill/load MB/s), the\n\
+         cold-vs-warm-restart study wall clock, and remote artifact-cache hit\n\
+         latency over live TCP. Checks: warm-restart rows bit-identical to\n\
+         the cold run with zero typing misses, and a clean remote sync.",
     );
     let threads = settings.threads.max(1);
     let repeats = if settings.quick { 5 } else { 9 };
@@ -96,66 +77,30 @@ fn main() {
         cold_report.rows.len()
     );
 
-    // --- Spill both formats. ---
-    let binary_dir = temp_dir("binary");
-    let json_dir = temp_dir("json");
-    for dir in [&binary_dir, &json_dir] {
-        std::fs::remove_dir_all(dir).ok();
-    }
-    let spill_once = |dir: &Path, format: SpillFormat| {
-        let start = Instant::now();
-        store.spill_to_dir_with(dir, format).expect("spill");
-        start.elapsed().as_secs_f64()
-    };
-    let binary_spill_s = spill_once(&binary_dir, SpillFormat::Binary);
-    let json_spill_s = spill_once(&json_dir, SpillFormat::Json);
-
-    // Byte footprint over the stages both formats carry.
-    let binary_files: Vec<String> = JSON_STAGES.iter().map(|s| format!("{s}.ppk")).collect();
-    let json_files: Vec<String> = JSON_STAGES.iter().map(|s| format!("{s}.json")).collect();
-    let binary_bytes = dir_bytes(&binary_dir, &binary_files);
-    let json_bytes = dir_bytes(&json_dir, &json_files);
-    assert!(binary_bytes > 0 && json_bytes > 0, "both spills wrote data");
-
-    // Load timing over the *same* artifact set: a copy of the binary spill
-    // restricted to the JSON-covered stages (the loader treats a missing
-    // stage file as empty).
-    let binary3_dir = temp_dir("binary3");
-    std::fs::remove_dir_all(&binary3_dir).ok();
-    std::fs::create_dir_all(&binary3_dir).expect("create binary3 dir");
-    for file in binary_files
+    // --- Spill, then time loads of it. ---
+    let spill_dir = temp_dir("spill");
+    std::fs::remove_dir_all(&spill_dir).ok();
+    let spill_start = Instant::now();
+    let written = store.spill_to_dir(&spill_dir).expect("spill");
+    let spill_s = spill_start.elapsed().as_secs_f64();
+    let spill_bytes: u64 = written
         .iter()
-        .chain(std::iter::once(&"manifest.json".to_string()))
-    {
-        std::fs::copy(binary_dir.join(file), binary3_dir.join(file)).expect("copy spill file");
-    }
-    let (binary_load_s, binary_loaded) = measure_load(&binary3_dir, repeats);
-    let (json_load_s, json_loaded) = measure_load(&json_dir, repeats);
-    assert_eq!(
-        binary_loaded, json_loaded,
-        "both formats must offer the same artifacts"
-    );
-
-    let size_ratio = json_bytes as f64 / binary_bytes as f64;
-    let load_speedup = json_load_s / binary_load_s.max(1e-12);
+        .filter(|path| path.extension().is_some_and(|ext| ext == "ppk"))
+        .map(|path| std::fs::metadata(path).expect("stat spill file").len())
+        .sum();
+    assert!(spill_bytes > 0, "the spill wrote data");
+    let (load_s, loaded) = measure_load(&spill_dir, repeats);
     let mb = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
+    let load_mb_per_s = mb(spill_bytes) / load_s.max(1e-12);
     println!(
-        "spill ({} artifacts over {:?}): binary {} B, json {} B ({size_ratio:.2}x smaller)",
-        binary_loaded, JSON_STAGES, binary_bytes, json_bytes
-    );
-    println!(
-        "load: binary {:.2} MB/s ({binary_load_s:.5}s), json {:.2} MB/s ({json_load_s:.5}s) \
-         ({load_speedup:.2}x faster)",
-        mb(binary_bytes) / binary_load_s.max(1e-12),
-        mb(json_bytes) / json_load_s.max(1e-12),
+        "spill: {loaded} artifacts, {spill_bytes} B in {spill_s:.5}s; \
+         load {load_mb_per_s:.2} MB/s ({load_s:.5}s)"
     );
 
-    // --- Warm restart from the full binary spill. ---
+    // --- Warm restart from the spill. ---
     let warm_store = Arc::new(ArtifactStore::new());
     let warm_load_start = Instant::now();
-    let warm_report_load = warm_store
-        .load_spill_report(&binary_dir)
-        .expect("warm load");
+    let warm_report_load = warm_store.load_spill_report(&spill_dir).expect("warm load");
     let warm_load_s = warm_load_start.elapsed().as_secs_f64();
     assert!(
         warm_report_load.errors.is_empty(),
@@ -206,46 +151,34 @@ fn main() {
     let sync_s = sync_start.elapsed().as_secs_f64();
     assert!(sync.errors.is_empty(), "{:?}", sync.errors);
     assert!(sync.transferred > 0, "the remote sync moved artifacts");
-    let mut latencies = sync.get_latency_ns.clone();
-    latencies.sort_unstable();
-    let (hit_p50_ns, hit_p99_ns) = (percentile(&latencies, 50.0), percentile(&latencies, 99.0));
+    let mut latencies: Vec<f64> = sync.get_latency_ns.iter().map(|&ns| ns as f64).collect();
+    latencies.sort_unstable_by(f64::total_cmp);
+    let (hit_p50_ns, hit_p99_ns) = (quantile(&latencies, 0.50), quantile(&latencies, 0.99));
+    let us = |ns: Option<f64>| ns.map_or("n/a".to_string(), |ns| format!("{:.1}us", ns / 1e3));
     println!(
-        "remote cache: {} artifacts in {sync_s:.4}s, get p50 {:.1}us p99 {:.1}us",
+        "remote cache: {} artifacts in {sync_s:.4}s, {} gets, p50 {} p99 {}",
         sync.transferred,
-        hit_p50_ns as f64 / 1e3,
-        hit_p99_ns as f64 / 1e3
+        latencies.len(),
+        us(hit_p50_ns),
+        us(hit_p99_ns)
     );
 
-    // --- Gates + report. ---
-    let size_gate_ok = size_ratio >= SIZE_GATE;
-    let load_gate_ok = load_speedup >= LOAD_GATE;
-    let format_row = |label: &str, bytes: u64, spill_s: f64, load_s: f64| {
-        JsonValue::object()
-            .field("label", label)
-            .field("bytes", bytes)
-            .field("spill_s", spill_s)
-            .field("load_s", load_s)
-            .field("load_mb_per_s", mb(bytes) / load_s.max(1e-12))
-    };
+    // --- Report. ---
+    let ns_or_null = |ns: Option<f64>| ns.map_or(JsonValue::Null, JsonValue::from);
     let mut doc = JsonValue::object();
     for (name, value) in settings.meta_json() {
         doc = doc.field(name, value);
     }
     let doc = doc
-        .field("artifacts_compared", binary_loaded)
         .field(
-            "formats",
-            vec![
-                format_row("binary", binary_bytes, binary_spill_s, binary_load_s),
-                format_row("json", json_bytes, json_spill_s, json_load_s),
-            ],
+            "spill",
+            JsonValue::object()
+                .field("artifacts", loaded)
+                .field("bytes", spill_bytes)
+                .field("spill_s", spill_s)
+                .field("load_s", load_s)
+                .field("load_mb_per_s", load_mb_per_s),
         )
-        .field("size_ratio", size_ratio)
-        .field("load_speedup", load_speedup)
-        .field("size_gate", SIZE_GATE)
-        .field("load_gate", LOAD_GATE)
-        .field("size_gate_ok", size_gate_ok)
-        .field("load_gate_ok", load_gate_ok)
         .field(
             "warm_restart",
             JsonValue::object()
@@ -263,33 +196,13 @@ fn main() {
                 .field("artifacts", sync.transferred)
                 .field("admitted", sync.admitted)
                 .field("sync_s", sync_s)
-                .field("hit_p50_ns", hit_p50_ns)
-                .field("hit_p99_ns", hit_p99_ns),
+                .field("hit_count", latencies.len())
+                .field("hit_p50_ns", ns_or_null(hit_p50_ns))
+                .field("hit_p99_ns", ns_or_null(hit_p99_ns)),
         );
     let path = settings.out_path("BENCH_store.json");
     let written = phase_bench::write_report_file(&path, &doc.render()).map(|()| path);
     phase_bench::announce_report(written, "BENCH_store.json");
 
-    for dir in [&binary_dir, &binary3_dir, &json_dir] {
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    if !size_gate_ok {
-        eprintln!(
-            "STORE GATE FAILED: binary spill only {size_ratio:.2}x smaller than JSON \
-             (gate {SIZE_GATE}x)"
-        );
-        std::process::exit(1);
-    }
-    if !load_gate_ok {
-        eprintln!(
-            "STORE GATE FAILED: binary spill only {load_speedup:.2}x faster to load \
-             than JSON (gate {LOAD_GATE}x)"
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "store gate passed: {size_ratio:.2}x smaller (>={SIZE_GATE}x), \
-         {load_speedup:.2}x faster to load (>={LOAD_GATE}x)"
-    );
+    std::fs::remove_dir_all(&spill_dir).ok();
 }

@@ -14,9 +14,8 @@
 //!
 //! The store is a sharded in-memory map (16 shards per stage, `parking_lot`
 //! mutexes) with per-stage hit/miss/insert/eviction counters and an optional
-//! on-disk spill of every stage in [`SPILL_STAGES`] (binary phase-pack by
-//! default, a legacy JSON form for typings, IPC profiles and isolated
-//! runtimes). Values are deterministic, so a racing double-compute under
+//! on-disk spill of every stage in [`SPILL_STAGES`] in the binary phase-pack
+//! format. Values are deterministic, so a racing double-compute under
 //! contention is harmless: both workers derive bit-identical artifacts and
 //! the first insert wins.
 //!
@@ -35,10 +34,8 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 use phase_amp::MachineSpec;
-use phase_analysis::{BlockTyping, PhaseType};
-use phase_ir::{
-    AccessPattern, BlockId, BranchBehavior, Instruction, Location, ProcId, Program, Terminator,
-};
+use phase_analysis::BlockTyping;
+use phase_ir::{AccessPattern, BranchBehavior, Instruction, Program, Terminator};
 use phase_marking::{InstrumentedProgram, MarkingConfig, ProgramRegions};
 use phase_online::{OnlineConfig, OnlineStats};
 use phase_runtime::{TunerConfig, TunerStats};
@@ -74,18 +71,6 @@ pub const SPILL_STAGES: [&str; 6] = [
     "baselines",
     "cells",
 ];
-
-/// The on-disk encoding of a spill directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpillFormat {
-    /// phase-pack: compact varint-packed binary with per-record checksums —
-    /// the default, and the only format that persists instrumented programs
-    /// and simulation cells.
-    Binary,
-    /// The legacy human-readable JSON layout (typings, IPC profiles,
-    /// isolated runtimes only); kept as the benchmark baseline.
-    Json,
-}
 
 /// What a spill load did: artifacts offered to the store, records skipped
 /// for cause, and a human-readable line per failure.
@@ -752,6 +737,82 @@ impl<V: Send + Sync> EvictStage for ShardedClockCache<V> {
 
     fn resident(&self) -> u64 {
         self.resident_bytes()
+    }
+}
+
+/// The phase-pack codec of a persisted artifact type.
+trait PackCodec: StoreFootprint + Sized {
+    fn encode(&self) -> Vec<u8>;
+    fn decode(bytes: &[u8]) -> Result<Self, pack::PackError>;
+}
+
+/// Pairs each persisted artifact type with its `pack::encode_*` and
+/// `pack::decode_*` functions.
+macro_rules! pack_codecs {
+    ($($ty:ty => $encode:ident, $decode:ident;)*) => {$(
+        impl PackCodec for $ty {
+            fn encode(&self) -> Vec<u8> {
+                pack::$encode(self)
+            }
+
+            fn decode(bytes: &[u8]) -> Result<Self, pack::PackError> {
+                pack::$decode(bytes)
+            }
+        }
+    )*};
+}
+
+pack_codecs! {
+    BlockTyping => encode_typing, decode_typing;
+    IpcProfileArtifact => encode_profile, decode_profile;
+    HashMap<String, f64> => encode_runtimes, decode_runtimes;
+    InstrumentedProgram => encode_instrumented, decode_instrumented;
+    CachedCell => encode_cell, decode_cell;
+}
+
+/// Type-erased view of a persisted stage, used by the spill, the spill load
+/// and the network artifact cache.
+trait SpilledStage {
+    /// Every resident key, sorted.
+    fn keys(&self) -> Vec<ContentHash>;
+    /// Every resident entry as phase-pack records, sorted by key.
+    fn encode_all(&self) -> Vec<(ContentHash, Vec<u8>)>;
+    /// The payload of `key` if resident (counted as a hit or a miss).
+    fn export(&self, key: ContentHash) -> Option<Vec<u8>>;
+    /// Decodes `payload` and admits it through `store`'s budget; returns
+    /// whether it is resident afterwards.
+    fn import(
+        &self,
+        store: &ArtifactStore,
+        key: ContentHash,
+        payload: &[u8],
+    ) -> Result<bool, pack::PackError>;
+}
+
+impl<V: PackCodec> SpilledStage for ShardedClockCache<V> {
+    fn keys(&self) -> Vec<ContentHash> {
+        self.entries().into_iter().map(|(key, _)| key).collect()
+    }
+
+    fn encode_all(&self) -> Vec<(ContentHash, Vec<u8>)> {
+        self.entries()
+            .into_iter()
+            .map(|(key, value)| (key, value.encode()))
+            .collect()
+    }
+
+    fn export(&self, key: ContentHash) -> Option<Vec<u8>> {
+        self.lookup(key).map(|value| value.encode())
+    }
+
+    fn import(
+        &self,
+        store: &ArtifactStore,
+        key: ContentHash,
+        payload: &[u8],
+    ) -> Result<bool, pack::PackError> {
+        store.admit(self, key, Arc::new(V::decode(payload)?));
+        Ok(self.contains(key))
     }
 }
 
@@ -1426,31 +1487,35 @@ impl ArtifactStore {
         }
     }
 
-    /// Alias of [`ArtifactStore::snapshot`], kept for callers written
-    /// against the pre-eviction API.
-    pub fn stats(&self) -> StoreStats {
-        self.snapshot()
+    /// Every persisted stage with its cache, in [`SPILL_STAGES`] order: the
+    /// one table the spill, the spill load and the network artifact cache
+    /// dispatch through.
+    fn spill_stages(&self) -> [(&'static str, &dyn SpilledStage); 6] {
+        [
+            ("typings", &self.typings),
+            ("ipc_profiles", &self.profiles),
+            ("isolated_runtimes", &self.isolated),
+            ("instrumented", &self.instrumented),
+            ("baselines", &self.baselines),
+            ("cells", &self.cells),
+        ]
     }
 
-    /// Spills the persistable stages to `dir` in the default format
-    /// ([`SpillFormat::Binary`] — phase-pack). See
-    /// [`ArtifactStore::spill_to_dir_with`].
-    pub fn spill_to_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-        self.spill_to_dir_with(dir, SpillFormat::Binary)
+    /// The persisted stage named `stage`, if any.
+    fn spilled_stage(&self, stage: &str) -> Option<&dyn SpilledStage> {
+        self.spill_stages()
+            .into_iter()
+            .find(|(name, _)| *name == stage)
+            .map(|(_, cache)| cache)
     }
 
-    /// Spills the persistable stages to `dir` in the chosen format.
+    /// Spills every stage in [`SPILL_STAGES`] to `dir` as phase-pack.
     ///
-    /// Both formats write `index.json` (every stage's counters) and
-    /// `manifest.json` (format name, pack version, producing toolchain, and
-    /// a content hash over every spilled key — the value CI cache keys hang
-    /// off). [`SpillFormat::Binary`] writes one phase-pack file per stage in
-    /// [`SPILL_STAGES`] — including instrumented programs, baseline twins,
-    /// and whole simulation cells, which the JSON spill never covered.
-    /// [`SpillFormat::Json`] writes the legacy three-file layout (typings,
-    /// IPC profiles, isolated runtimes) and survives as the
-    /// human-readable / benchmark-baseline format.
-    pub fn spill_to_dir_with(&self, dir: &Path, format: SpillFormat) -> io::Result<Vec<PathBuf>> {
+    /// Writes `index.json` (every stage's counters), one `<stage>.ppk` file
+    /// per persisted stage, and `manifest.json` (format name, pack version,
+    /// producing toolchain, and a content hash over every spilled key — the
+    /// value CI cache keys hang off).
+    pub fn spill_to_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
         let _span = phase_trace::span("store-spill");
         std::fs::create_dir_all(dir)?;
         let mut written = Vec::new();
@@ -1458,368 +1523,145 @@ impl ArtifactStore {
         std::fs::write(&index_path, self.snapshot().to_json().render())?;
         written.push(index_path);
 
-        match format {
-            SpillFormat::Binary => {
-                let mut stage_docs = Vec::new();
-                let mut manifest_hasher = StableHasher::new();
-                manifest_hasher.write_str("spill-manifest");
-                manifest_hasher.write_str(pack::toolchain_tag());
-                for stage in SPILL_STAGES {
-                    let records = self.encode_stage(stage);
-                    manifest_hasher.write_str(stage);
-                    manifest_hasher.write_usize(records.len());
-                    for (key, _) in &records {
-                        key.fingerprint(&mut manifest_hasher);
-                    }
-                    let file = format!("{stage}.ppk");
-                    let path = dir.join(&file);
-                    std::fs::write(&path, pack::write_pack_file(stage, &records))?;
-                    stage_docs.push(
-                        JsonValue::object()
-                            .field("stage", stage)
-                            .field("file", file)
-                            .field("entries", records.len()),
-                    );
-                    written.push(path);
-                }
-                let manifest = JsonValue::object()
-                    .field("format", "phase-pack")
-                    .field("version", pack::PACK_VERSION)
-                    .field("toolchain", pack::toolchain_tag())
-                    .field("content_hash", manifest_hasher.finish().to_string())
-                    .field("stages", stage_docs);
-                let manifest_path = dir.join("manifest.json");
-                std::fs::write(&manifest_path, manifest.render())?;
-                written.push(manifest_path);
+        let mut stage_docs = Vec::new();
+        let mut manifest_hasher = StableHasher::new();
+        manifest_hasher.write_str("spill-manifest");
+        manifest_hasher.write_str(pack::toolchain_tag());
+        for (stage, cache) in self.spill_stages() {
+            let records = cache.encode_all();
+            manifest_hasher.write_str(stage);
+            manifest_hasher.write_usize(records.len());
+            for (key, _) in &records {
+                key.fingerprint(&mut manifest_hasher);
             }
-            SpillFormat::Json => {
-                written.extend(self.spill_json_stages(dir)?);
-                let manifest = JsonValue::object()
-                    .field("format", "json")
-                    .field("toolchain", pack::toolchain_tag());
-                let manifest_path = dir.join("manifest.json");
-                std::fs::write(&manifest_path, manifest.render())?;
-                written.push(manifest_path);
-            }
+            let file = format!("{stage}.ppk");
+            let path = dir.join(&file);
+            std::fs::write(&path, pack::write_pack_file(stage, &records))?;
+            stage_docs.push(
+                JsonValue::object()
+                    .field("stage", stage)
+                    .field("file", file)
+                    .field("entries", records.len()),
+            );
+            written.push(path);
         }
+        let manifest = JsonValue::object()
+            .field("format", "phase-pack")
+            .field("version", pack::PACK_VERSION)
+            .field("toolchain", pack::toolchain_tag())
+            .field("content_hash", manifest_hasher.finish().to_string())
+            .field("stages", stage_docs);
+        let manifest_path = dir.join("manifest.json");
+        std::fs::write(&manifest_path, manifest.render())?;
+        written.push(manifest_path);
         Ok(written)
-    }
-
-    /// The phase-pack records of one spill stage, sorted by key.
-    fn encode_stage(&self, stage: &str) -> Vec<(ContentHash, Vec<u8>)> {
-        match stage {
-            "typings" => self
-                .typings
-                .entries()
-                .into_iter()
-                .map(|(k, v)| (k, pack::encode_typing(&v)))
-                .collect(),
-            "ipc_profiles" => self
-                .profiles
-                .entries()
-                .into_iter()
-                .map(|(k, v)| (k, pack::encode_profile(&v)))
-                .collect(),
-            "isolated_runtimes" => self
-                .isolated
-                .entries()
-                .into_iter()
-                .map(|(k, v)| (k, pack::encode_runtimes(&v)))
-                .collect(),
-            "instrumented" => self
-                .instrumented
-                .entries()
-                .into_iter()
-                .map(|(k, v)| (k, pack::encode_instrumented(&v)))
-                .collect(),
-            "baselines" => self
-                .baselines
-                .entries()
-                .into_iter()
-                .map(|(k, v)| (k, pack::encode_instrumented(&v)))
-                .collect(),
-            "cells" => self
-                .cells
-                .entries()
-                .into_iter()
-                .map(|(k, v)| (k, pack::encode_cell(&v)))
-                .collect(),
-            _ => Vec::new(),
-        }
     }
 
     /// Serializes one artifact for the network cache: `Some(phase-pack
     /// payload)` when `(stage, key)` is resident, `None` on a miss or an
     /// unknown stage. The lookup counts as a normal hit/miss on the stage.
     pub fn export_artifact(&self, stage: &str, key: ContentHash) -> Option<Vec<u8>> {
-        match stage {
-            "typings" => self.typings.lookup(key).map(|v| pack::encode_typing(&v)),
-            "ipc_profiles" => self.profiles.lookup(key).map(|v| pack::encode_profile(&v)),
-            "isolated_runtimes" => self.isolated.lookup(key).map(|v| pack::encode_runtimes(&v)),
-            "instrumented" => self
-                .instrumented
-                .lookup(key)
-                .map(|v| pack::encode_instrumented(&v)),
-            "baselines" => self
-                .baselines
-                .lookup(key)
-                .map(|v| pack::encode_instrumented(&v)),
-            "cells" => self.cells.lookup(key).map(|v| pack::encode_cell(&v)),
-            _ => None,
-        }
+        self.spilled_stage(stage)?.export(key)
     }
 
     /// Decodes and admits one artifact payload (the put side of the network
-    /// cache and the per-record body of the binary spill load). Decoding is
-    /// fully validated — corrupt payloads return a [`pack::PackError`],
-    /// never panic — and admission goes through the byte budget like any
-    /// computed artifact. Returns whether the artifact is resident
-    /// afterwards (`false` means the budget declined it).
+    /// cache and the per-record body of the spill load). Decoding is fully
+    /// validated — corrupt payloads return a [`pack::PackError`], never
+    /// panic — and admission goes through the byte budget like any computed
+    /// artifact. Returns whether the artifact is resident afterwards
+    /// (`false` means the budget declined it).
     pub fn import_artifact(
         &self,
         stage: &str,
         key: ContentHash,
         payload: &[u8],
     ) -> Result<bool, pack::PackError> {
-        match stage {
-            "typings" => {
-                let v = pack::decode_typing(payload)?;
-                self.admit(&self.typings, key, Arc::new(v));
-                Ok(self.typings.contains(key))
-            }
-            "ipc_profiles" => {
-                let v = pack::decode_profile(payload)?;
-                self.admit(&self.profiles, key, Arc::new(v));
-                Ok(self.profiles.contains(key))
-            }
-            "isolated_runtimes" => {
-                let v = pack::decode_runtimes(payload)?;
-                self.admit(&self.isolated, key, Arc::new(v));
-                Ok(self.isolated.contains(key))
-            }
-            "instrumented" => {
-                let v = pack::decode_instrumented(payload)?;
-                self.admit(&self.instrumented, key, Arc::new(v));
-                Ok(self.instrumented.contains(key))
-            }
-            "baselines" => {
-                let v = pack::decode_instrumented(payload)?;
-                self.admit(&self.baselines, key, Arc::new(v));
-                Ok(self.baselines.contains(key))
-            }
-            "cells" => {
-                let v = pack::decode_cell(payload)?;
-                self.admit(&self.cells, key, Arc::new(v));
-                Ok(self.cells.contains(key))
-            }
-            _ => Err(pack::PackError::Malformed(format!(
-                "unknown stage '{stage}'"
-            ))),
-        }
+        self.spilled_stage(stage)
+            .ok_or_else(|| pack::PackError::Malformed(format!("unknown stage '{stage}'")))?
+            .import(self, key, payload)
     }
 
     /// Every resident key of every persistable stage, sorted within each
     /// stage — the inventory a remote worker walks to warm itself from this
     /// store.
     pub fn artifact_keys(&self) -> Vec<(&'static str, Vec<ContentHash>)> {
-        SPILL_STAGES
-            .iter()
-            .map(|&stage| {
-                let keys = match stage {
-                    "typings" => self.typings.entries().into_iter().map(|(k, _)| k).collect(),
-                    "ipc_profiles" => self
-                        .profiles
-                        .entries()
-                        .into_iter()
-                        .map(|(k, _)| k)
-                        .collect(),
-                    "isolated_runtimes" => self
-                        .isolated
-                        .entries()
-                        .into_iter()
-                        .map(|(k, _)| k)
-                        .collect(),
-                    "instrumented" => self
-                        .instrumented
-                        .entries()
-                        .into_iter()
-                        .map(|(k, _)| k)
-                        .collect(),
-                    "baselines" => self
-                        .baselines
-                        .entries()
-                        .into_iter()
-                        .map(|(k, _)| k)
-                        .collect(),
-                    "cells" => self.cells.entries().into_iter().map(|(k, _)| k).collect(),
-                    _ => Vec::new(),
-                };
-                (stage, keys)
-            })
+        self.spill_stages()
+            .into_iter()
+            .map(|(stage, cache)| (stage, cache.keys()))
             .collect()
     }
 
-    /// The legacy JSON stage files (typings, IPC profiles, isolated
-    /// runtimes), byte-identical to the pre-binary spill.
-    fn spill_json_stages(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-        let mut written = Vec::new();
-        let typings = JsonValue::Array(
-            self.typings
-                .entries()
-                .into_iter()
-                .map(|(key, typing)| {
-                    let entries = typing.sorted_entries();
-                    JsonValue::object()
-                        .field("key", key.to_string())
-                        .field("num_types", typing.num_types())
-                        .field(
-                            "entries",
-                            entries
-                                .into_iter()
-                                .map(|(loc, ty)| {
-                                    JsonValue::object()
-                                        .field("proc", loc.proc.0)
-                                        .field("block", loc.block.0)
-                                        .field("type", ty.0)
-                                })
-                                .collect::<Vec<_>>(),
-                        )
-                })
-                .collect(),
-        );
-        let typings_path = dir.join("typings.json");
-        std::fs::write(&typings_path, typings.render())?;
-        written.push(typings_path);
-
-        let profiles = JsonValue::Array(
-            self.profiles
-                .entries()
-                .into_iter()
-                .map(|(key, artifact)| {
-                    JsonValue::object()
-                        .field("key", key.to_string())
-                        .field("min_block_size", artifact.min_block_size)
-                        .field(
-                            "rows",
-                            artifact
-                                .rows
-                                .iter()
-                                .map(|row| {
-                                    JsonValue::object()
-                                        .field("proc", row.location.proc.0)
-                                        .field("block", row.location.block.0)
-                                        .field("fast_ipc", row.fast_ipc)
-                                        .field("slow_ipc", row.slow_ipc)
-                                })
-                                .collect::<Vec<_>>(),
-                        )
-                })
-                .collect(),
-        );
-        let profiles_path = dir.join("ipc_profiles.json");
-        std::fs::write(&profiles_path, profiles.render())?;
-        written.push(profiles_path);
-
-        let isolated = JsonValue::Array(
-            self.isolated
-                .entries()
-                .into_iter()
-                .map(|(key, runtimes)| {
-                    let mut rows: Vec<(&String, &f64)> = runtimes.iter().collect();
-                    rows.sort_by(|a, b| a.0.cmp(b.0));
-                    JsonValue::object().field("key", key.to_string()).field(
-                        "runtimes",
-                        rows.into_iter()
-                            .fold(JsonValue::object(), |doc, (name, ns)| doc.field(name, *ns)),
-                    )
-                })
-                .collect(),
-        );
-        let isolated_path = dir.join("isolated_runtimes.json");
-        std::fs::write(&isolated_path, isolated.render())?;
-        written.push(isolated_path);
-        Ok(written)
-    }
-
-    /// Reloads a directory written by [`ArtifactStore::spill_to_dir`] (any
-    /// format). Returns the number of artifacts *offered* to the store — a
-    /// bounded store admits them through the usual budget gate and may
-    /// decline some. The detailed variant is
-    /// [`ArtifactStore::load_spill_report`].
-    pub fn load_spill_dir(&self, dir: &Path) -> io::Result<usize> {
-        Ok(self.load_spill_report(dir)?.loaded)
-    }
-
-    /// Reloads a spill directory, reporting what loaded, what was skipped,
-    /// and why.
+    /// Reloads a directory written by [`ArtifactStore::spill_to_dir`],
+    /// reporting what loaded, what was skipped, and why. `loaded` counts the
+    /// artifacts *offered* to the store — a bounded store admits them
+    /// through the usual budget gate and may decline some.
     ///
-    /// The manifest decides the path: `format: "phase-pack"` dispatches to
-    /// the binary loader, anything else (including no manifest at all — a
-    /// pre-manifest directory) to the legacy JSON loader. Binary loads are
-    /// *structurally* guarded: a version or toolchain mismatch in the
-    /// manifest rejects the whole directory as a recorded error with zero
+    /// A directory without `manifest.json` holds no spill and loads
+    /// nothing. Loads are otherwise *structurally* guarded: an unreadable
+    /// manifest, a format other than phase-pack, or a version or toolchain
+    /// mismatch rejects the whole directory as a recorded error with zero
     /// loads (a stale cache is a cold start, not a crash), and a truncated
     /// or bit-flipped record is skipped with a structured error while the
-    /// intact remainder still loads. `Err` is reserved for I/O failures and
-    /// malformed legacy JSON.
+    /// intact remainder still loads. `Err` is reserved for I/O failures.
     pub fn load_spill_report(&self, dir: &Path) -> io::Result<SpillLoadReport> {
         let _span = phase_trace::span("store-load");
         let mut report = SpillLoadReport::default();
         let manifest_path = dir.join("manifest.json");
-        let manifest = if manifest_path.exists() {
-            match parse(&std::fs::read_to_string(&manifest_path)?) {
-                Ok(doc) => Some(doc),
-                Err(error) => {
-                    report.errors.push(format!("manifest.json: {error}"));
-                    None
-                }
+        if !manifest_path.exists() {
+            return Ok(report);
+        }
+        // Lossy decoding: a manifest that is not UTF-8 is damage to record,
+        // not an I/O failure.
+        let text = String::from_utf8_lossy(&std::fs::read(&manifest_path)?).into_owned();
+        let manifest = match parse(&text) {
+            Ok(doc) => doc,
+            Err(error) => {
+                report.errors.push(format!("manifest.json: {error}"));
+                return Ok(report);
             }
-        } else {
-            None
         };
         let format = manifest
-            .as_ref()
-            .and_then(|m| m.get("format"))
+            .get("format")
             .and_then(JsonValue::as_str)
-            .unwrap_or("json")
-            .to_string();
-        if format == "phase-pack" {
-            let manifest = manifest.expect("phase-pack format implies a parsed manifest");
-            let version = manifest
-                .get("version")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0) as u64;
-            let toolchain = manifest
-                .get("toolchain")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("");
-            if version != pack::PACK_VERSION {
-                report
-                    .errors
-                    .push(pack::PackError::BadVersion { found: version }.to_string());
-                return Ok(report);
-            }
-            if toolchain != pack::toolchain_tag() {
-                report.errors.push(
-                    pack::PackError::ToolchainMismatch {
-                        found: toolchain.to_string(),
-                    }
-                    .to_string(),
-                );
-                return Ok(report);
-            }
-            self.load_spill_binary(dir, &mut report);
-        } else {
-            report.loaded = self.load_spill_json(dir)?;
+            .unwrap_or("");
+        if format != "phase-pack" {
+            report.errors.push(format!(
+                "manifest.json: unsupported spill format '{format}'"
+            ));
+            return Ok(report);
         }
+        let version = manifest
+            .get("version")
+            .and_then(JsonValue::as_f64)
+            .unwrap_or(0.0) as u64;
+        let toolchain = manifest
+            .get("toolchain")
+            .and_then(JsonValue::as_str)
+            .unwrap_or("");
+        if version != pack::PACK_VERSION {
+            report
+                .errors
+                .push(pack::PackError::BadVersion { found: version }.to_string());
+            return Ok(report);
+        }
+        if toolchain != pack::toolchain_tag() {
+            report.errors.push(
+                pack::PackError::ToolchainMismatch {
+                    found: toolchain.to_string(),
+                }
+                .to_string(),
+            );
+            return Ok(report);
+        }
+        self.load_spill_stages(dir, &mut report);
         Ok(report)
     }
 
-    /// The binary (phase-pack) load path: per-file header validation, then
-    /// per-record checksum + decode validation, all failure contained as
-    /// skipped entries.
-    fn load_spill_binary(&self, dir: &Path, report: &mut SpillLoadReport) {
-        for stage in SPILL_STAGES {
+    /// The per-stage load: per-file header validation, then per-record
+    /// checksum + decode validation, all failure contained as skipped
+    /// entries.
+    fn load_spill_stages(&self, dir: &Path, report: &mut SpillLoadReport) {
+        for (stage, cache) in self.spill_stages() {
             let path = dir.join(format!("{stage}.ppk"));
             let bytes = match std::fs::read(&path) {
                 Ok(bytes) => bytes,
@@ -1842,7 +1684,7 @@ impl ArtifactStore {
                 report.errors.push(format!("{stage}.ppk: {error}"));
             }
             for (key, payload) in file.records {
-                match self.import_artifact(stage, key, &payload) {
+                match cache.import(self, key, &payload) {
                     Ok(_) => report.loaded += 1,
                     Err(error) => {
                         report.skipped += 1;
@@ -1851,113 +1693,6 @@ impl ArtifactStore {
                 }
             }
         }
-    }
-
-    /// The legacy JSON load path (also reached by pre-manifest directories).
-    fn load_spill_json(&self, dir: &Path) -> io::Result<usize> {
-        let mut loaded = 0;
-        let bad = |message: String| io::Error::new(io::ErrorKind::InvalidData, message);
-        let read_doc = |path: PathBuf| -> io::Result<Option<JsonValue>> {
-            if !path.exists() {
-                return Ok(None);
-            }
-            let text = std::fs::read_to_string(&path)?;
-            parse(&text)
-                .map(Some)
-                .map_err(|e| bad(format!("{}: {e}", path.display())))
-        };
-        let key_of = |entry: &JsonValue| -> io::Result<ContentHash> {
-            entry
-                .get("key")
-                .and_then(JsonValue::as_str)
-                .and_then(ContentHash::from_hex)
-                .ok_or_else(|| bad("missing or malformed artifact key".to_string()))
-        };
-
-        if let Some(doc) = read_doc(dir.join("typings.json"))? {
-            for entry in doc.as_array().unwrap_or_default() {
-                let key = key_of(entry)?;
-                let num_types = entry
-                    .get("num_types")
-                    .and_then(JsonValue::as_f64)
-                    .unwrap_or(0.0) as usize;
-                let mut typing = BlockTyping::new(num_types);
-                for row in entry
-                    .get("entries")
-                    .and_then(JsonValue::as_array)
-                    .unwrap_or_default()
-                {
-                    let field = |name: &str| {
-                        row.get(name)
-                            .and_then(JsonValue::as_f64)
-                            .ok_or_else(|| bad(format!("typing row missing {name}")))
-                    };
-                    typing.assign(
-                        Location::new(
-                            ProcId(field("proc")? as u32),
-                            BlockId(field("block")? as u32),
-                        ),
-                        PhaseType(field("type")? as u32),
-                    );
-                }
-                self.admit(&self.typings, key, Arc::new(typing));
-                loaded += 1;
-            }
-        }
-
-        if let Some(doc) = read_doc(dir.join("ipc_profiles.json"))? {
-            for entry in doc.as_array().unwrap_or_default() {
-                let key = key_of(entry)?;
-                let min_block_size = entry
-                    .get("min_block_size")
-                    .and_then(JsonValue::as_f64)
-                    .unwrap_or(0.0) as usize;
-                let mut artifact = IpcProfileArtifact {
-                    min_block_size,
-                    rows: Vec::new(),
-                };
-                for row in entry
-                    .get("rows")
-                    .and_then(JsonValue::as_array)
-                    .unwrap_or_default()
-                {
-                    let field = |name: &str| {
-                        row.get(name)
-                            .and_then(JsonValue::as_f64)
-                            .ok_or_else(|| bad(format!("profile row missing {name}")))
-                    };
-                    artifact.rows.push(crate::pipeline::IpcProfileRow {
-                        location: Location::new(
-                            ProcId(field("proc")? as u32),
-                            BlockId(field("block")? as u32),
-                        ),
-                        fast_ipc: field("fast_ipc")?,
-                        slow_ipc: field("slow_ipc")?,
-                    });
-                }
-                self.admit(&self.profiles, key, Arc::new(artifact));
-                loaded += 1;
-            }
-        }
-
-        if let Some(doc) = read_doc(dir.join("isolated_runtimes.json"))? {
-            for entry in doc.as_array().unwrap_or_default() {
-                let key = key_of(entry)?;
-                let mut runtimes = HashMap::new();
-                if let Some(JsonValue::Object(fields)) = entry.get("runtimes") {
-                    for (name, ns) in fields {
-                        runtimes.insert(
-                            name.clone(),
-                            ns.as_f64()
-                                .ok_or_else(|| bad(format!("runtime {name} not numeric")))?,
-                        );
-                    }
-                }
-                self.admit(&self.isolated, key, Arc::new(runtimes));
-                loaded += 1;
-            }
-        }
-        Ok(loaded)
     }
 }
 
@@ -2006,11 +1741,11 @@ mod tests {
         let first = store.catalog(&spec);
         let second = store.catalog(&spec);
         assert!(Arc::ptr_eq(&first, &second));
-        let stats = store.stats().stage("catalogs").unwrap();
+        let stats = store.snapshot().stage("catalogs").unwrap();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         let other = store.catalog(&CatalogSpec::standard(0.04, 8));
         assert!(!Arc::ptr_eq(&first, &other));
-        assert_eq!(store.stats().stage("catalogs").unwrap().entries, 2);
+        assert_eq!(store.snapshot().stage("catalogs").unwrap().entries, 2);
     }
 
     #[test]
@@ -2024,5 +1759,51 @@ mod tests {
         assert_eq!(fa, fb);
         let other = store.program_fingerprint(a.benchmarks()[1].program());
         assert_ne!(fa, other);
+    }
+
+    #[test]
+    fn stage_table_round_trips_every_persisted_stage() {
+        let store = ArtifactStore::new();
+        crate::experiment::prepare_workload_cached(
+            &crate::experiment::ExperimentConfig::smoke_test(),
+            &store,
+        );
+        store.cell(ContentHash { hi: 7, lo: 11 }, || CachedCell {
+            result: SimResult {
+                label: "stage-table".to_string(),
+                records: Vec::new(),
+                total_instructions: 42,
+                final_time_ns: 1.5,
+                throughput_windows: vec![42],
+                core_busy_ns: vec![1.5],
+                total_marks_executed: 0,
+                total_core_switches: 0,
+            },
+            tuner_stats: None,
+            online_stats: None,
+        });
+        let names: Vec<&str> = store.spill_stages().iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, SPILL_STAGES);
+
+        let fresh = ArtifactStore::new();
+        for (stage, keys) in store.artifact_keys() {
+            assert!(!keys.is_empty(), "{stage} is populated");
+            for key in keys {
+                let bytes = store.export_artifact(stage, key).expect("resident");
+                assert_eq!(fresh.import_artifact(stage, key, &bytes), Ok(true));
+                assert_eq!(
+                    fresh.export_artifact(stage, key).as_deref(),
+                    Some(&bytes[..]),
+                    "{stage} {key} re-exports identical bytes"
+                );
+            }
+        }
+
+        let key = ContentHash { hi: 1, lo: 2 };
+        assert_eq!(store.export_artifact("regions", key), None);
+        assert!(matches!(
+            fresh.import_artifact("regions", key, &[]),
+            Err(pack::PackError::Malformed(_))
+        ));
     }
 }

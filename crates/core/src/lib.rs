@@ -54,9 +54,8 @@ mod study;
 pub mod trace_export;
 
 pub use artifacts::{
-    ArtifactStore, CachedCell, ContentHash, Fingerprint, ShardedClockCache, SpillFormat,
-    SpillLoadReport, StableHasher, StageStats, StoreBudget, StoreFootprint, StoreStats,
-    SPILL_STAGES,
+    ArtifactStore, CachedCell, ContentHash, Fingerprint, ShardedClockCache, SpillLoadReport,
+    StableHasher, StageStats, StoreBudget, StoreFootprint, StoreStats, SPILL_STAGES,
 };
 pub use driver::{
     cell_seed, CellResult, CellSpec, Driver, ExperimentPlan, PlanAggregate, PlanOutcome,

@@ -1,8 +1,8 @@
 //! phase-pack — the zero-dependency binary artifact codec behind the spill.
 //!
-//! The JSON spill is human-readable but will not scale to millions of
-//! artifacts: every number round-trips through text and every load re-parses
-//! a document model. phase-pack is the compact alternative: length-prefixed
+//! A text spill would not scale to millions of artifacts: every number would
+//! round-trip through text and every load re-parse a document model.
+//! phase-pack is compact instead: length-prefixed
 //! records of varint-packed fields, a file header carrying the format
 //! version and the producing toolchain, and a per-record FNV-64 checksum so
 //! a bit-flipped artifact is *skipped with a structured error* instead of

@@ -390,7 +390,7 @@ fn fingerprint_memos_do_not_pin_programs() {
     for seed in 2..5 {
         store.catalog(&CatalogSpec::standard(0.02, seed));
     }
-    let evictions = store.stats().stage("catalogs").expect("stage").evictions;
+    let evictions = store.snapshot().stage("catalogs").expect("stage").evictions;
     assert!(evictions >= 1, "the first catalogue was never evicted");
     assert!(
         program_weak.upgrade().is_none(),

@@ -201,16 +201,47 @@ fn stale_manifests_are_a_structural_cold_start() {
     );
     std::fs::remove_dir_all(&future).ok();
 
-    // A garbage manifest: recorded, and the loader falls back to the legacy
-    // path, which finds no JSON stage files — a clean cold start.
+    // A garbage manifest (bad JSON or not even UTF-8): recorded, and no
+    // stage file is read — a cold start even though every intact pack file
+    // is still present.
     let garbage = copy_spill(&golden, "manifest-garbage");
-    std::fs::write(garbage.join("manifest.json"), "{not json").expect("tamper manifest");
-    let report = load_fresh(&garbage);
-    assert_eq!(report.loaded, 0);
-    assert!(!report.errors.is_empty());
+    for bytes in [&b"{not json"[..], &[0xff, 0xfe, b'{']] {
+        std::fs::write(garbage.join("manifest.json"), bytes).expect("tamper manifest");
+        let report = load_fresh(&garbage);
+        assert_eq!(report.loaded, 0);
+        assert!(!report.errors.is_empty());
+    }
     std::fs::remove_dir_all(&garbage).ok();
 
     std::fs::remove_dir_all(&golden).ok();
+}
+
+#[test]
+fn legacy_json_spills_without_a_manifest_are_a_clean_cold_start() {
+    let dir = temp_dir("legacy-json");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create legacy dir");
+    std::fs::write(
+        dir.join("typings.json"),
+        r#"[{"key": "0000000000000007000000000000000b", "num_types": 2,
+             "entries": [{"proc": 0, "block": 1, "type": 1}]}]"#,
+    )
+    .expect("write legacy typings");
+    std::fs::write(
+        dir.join("ipc_profiles.json"),
+        r#"[{"key": "0000000000000007000000000000000c", "min_block_size": 15,
+             "rows": [{"proc": 0, "block": 1, "fast_ipc": 1.5, "slow_ipc": 0.5}]}]"#,
+    )
+    .expect("write legacy profiles");
+
+    let store = ArtifactStore::new();
+    let report = store
+        .load_spill_report(&dir)
+        .expect("no manifest is not an error");
+    assert_eq!((report.loaded, report.skipped), (0, 0));
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    assert_eq!(store.snapshot().total_entries(), 0);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -63,7 +63,7 @@ mod service;
 mod sync;
 mod wire;
 
-pub use remote::{remote_inventory, remote_push, remote_warm_start, RemoteSyncStats};
+pub use remote::{remote_push, remote_warm_start, RemoteSyncStats};
 pub use request::{
     parse_request, RequestKind, ServeError, TuneSpec, TuningRequest, TuningResponse,
 };

@@ -88,7 +88,7 @@ fn response_error(doc: &JsonValue) -> Option<String> {
 }
 
 /// Fetches the remote store's full inventory: `(stage, keys)` per stage.
-pub fn remote_inventory(addr: SocketAddr) -> io::Result<Vec<(String, Vec<ContentHash>)>> {
+fn remote_inventory(addr: SocketAddr) -> io::Result<Vec<(String, Vec<ContentHash>)>> {
     let mut client = WireClient::connect(addr)?;
     let doc = client.roundtrip(
         JsonValue::object()

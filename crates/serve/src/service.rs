@@ -337,7 +337,7 @@ impl TuningService {
         let mut warm_loaded = 0;
         if let Some(dir) = &config.warm_start {
             if dir.exists() {
-                warm_loaded = store.load_spill_dir(dir)?;
+                warm_loaded = store.load_spill_report(dir)?.loaded;
             }
         }
         Ok(Self {

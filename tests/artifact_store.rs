@@ -1,6 +1,6 @@
 //! Integration tests of the content-addressed artifact store: hit/miss
 //! accounting across the staged pipeline, cross-thread determinism with
-//! caching enabled, the on-disk JSON spill round-trip, and the byte-budget /
+//! caching enabled, the on-disk phase-pack spill round-trip, and the byte-budget /
 //! CLOCK-eviction layer behind the tuning service.
 
 use std::sync::Arc;
@@ -28,7 +28,7 @@ fn sweeping_one_axis_reuses_every_upstream_artifact() {
 
     // First sweep point computes everything.
     let first = prepare_workload_cached(&smoke_config(MarkingConfig::loop_level(45)), &store);
-    let after_first = store.stats();
+    let after_first = store.snapshot();
     assert_eq!(after_first.stage("catalogs").unwrap().misses, 1);
     assert_eq!(after_first.stage("baselines").unwrap().misses, 15);
     assert_eq!(after_first.stage("isolated_runtimes").unwrap().misses, 1);
@@ -39,7 +39,7 @@ fn sweeping_one_axis_reuses_every_upstream_artifact() {
     // baseline twins, the isolated runtimes, and the per-block IPC profiles —
     // only typing/summarization/instrumentation rerun.
     let second = prepare_workload_cached(&smoke_config(MarkingConfig::interval(45)), &store);
-    let after_second = store.stats();
+    let after_second = store.snapshot();
     assert_eq!(after_second.stage("catalogs").unwrap().misses, 1);
     assert_eq!(after_second.stage("baselines").unwrap().misses, 15);
     assert_eq!(after_second.stage("isolated_runtimes").unwrap().misses, 1);
@@ -59,7 +59,7 @@ fn sweeping_one_axis_reuses_every_upstream_artifact() {
 
     // An identical third request is answered entirely from the store.
     let third = prepare_workload_cached(&smoke_config(MarkingConfig::interval(45)), &store);
-    let after_third = store.stats();
+    let after_third = store.snapshot();
     assert_eq!(
         after_third.stage("instrumented").unwrap().misses,
         after_second.stage("instrumented").unwrap().misses
@@ -137,41 +137,37 @@ fn caching_keeps_thread_counts_bit_identical() {
     for (a, b) in cold.cells.iter().zip(warm.cells.iter()) {
         assert_eq!(a.result, b.result);
     }
-    let cells = store.stats().stage("cells").unwrap();
+    let cells = store.snapshot().stage("cells").unwrap();
     assert!(cells.hits >= 2, "warm plan hits the cell cache ({cells:?})");
 }
 
 #[test]
-fn spill_round_trips_through_json() {
+fn spill_round_trips_through_phase_pack() {
     let store = ArtifactStore::new();
     let config = smoke_config(MarkingConfig::loop_level(45));
     prepare_workload_cached(&config, &store);
 
     let dir = std::env::temp_dir().join(format!("phase-artifacts-{}", std::process::id()));
-    let files = store
-        .spill_to_dir_with(&dir, phase_tuning::SpillFormat::Json)
-        .expect("spill succeeds");
+    let files = store.spill_to_dir(&dir).expect("spill succeeds");
     assert_eq!(
         files.len(),
-        5,
-        "index + manifest + three serializable stages"
+        2 + phase_tuning::SPILL_STAGES.len(),
+        "index + manifest + one pack file per persisted stage"
     );
     for file in &files {
         assert!(file.exists());
-        let text = std::fs::read_to_string(file).unwrap();
-        phase_tuning::json::parse(&text).expect("spilled JSON parses");
     }
 
     // A fresh store pre-warmed from the spill answers typing, profiling, and
     // isolated-runtime lookups without recomputing them.
     let fresh = ArtifactStore::new();
-    let loaded = fresh.load_spill_dir(&dir).expect("load succeeds");
+    let loaded = fresh.load_spill_report(&dir).expect("load succeeds").loaded;
     assert!(loaded > 0, "loaded {loaded} artifacts");
     let catalog = fresh.catalog(&CatalogSpec::standard(
         config.catalog_scale,
         config.workload_seed,
     ));
-    let before = fresh.stats().stage("typings").unwrap();
+    let before = fresh.snapshot().stage("typings").unwrap();
     assert_eq!(before.misses, 0);
     for bench in catalog.benchmarks() {
         let reloaded = fresh.typing(bench.program(), &config.machine, &config.pipeline);
@@ -189,7 +185,7 @@ fn spill_round_trips_through_json() {
             bench.name()
         );
     }
-    let after = fresh.stats().stage("typings").unwrap();
+    let after = fresh.snapshot().stage("typings").unwrap();
     assert_eq!(
         after.misses, 0,
         "every typing lookup was answered from disk"
